@@ -240,6 +240,9 @@ class MessageBus:
         if self.adversary is not None and not secure:
             raw = self.adversary(sender, receiver, msg.KIND, raw)
         delivered = wire.deserialize(self.suite.cp, raw)
+        if type(delivered) is not type(msg):
+            # the receiver's step expects the kind that was sent
+            raise EncodingError(f"expected {msg.KIND}, got {delivered.KIND}")
         self.transcript.append(
             TranscriptEntry(
                 index=len(self.transcript.entries),

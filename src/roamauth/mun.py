@@ -17,17 +17,15 @@ per-user value, which is not satisfiable simultaneously.
 
 from __future__ import annotations
 
+import hmac
 import random
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .curve import CurveError, Point
-from .encoding import field_bytes, field_point
 from .proposed import SessionKey
 from .suite import CryptoSuite
-from .wire import register_message
-
-NONCE_BYTES = 16  # 128-bit nonces
+from .wire import NONCE_BYTES, register_message, wire_field
 
 
 class MunError(Exception):
@@ -98,180 +96,96 @@ class MunChannel:
 # messages
 
 
-@register_message
+@register_message(10)
 @dataclass(frozen=True)
 class MunRegRequest:
     KIND: ClassVar[str] = "mun-reg-request"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("identity", "nonce")
 
-    user_id: bytes
-    client_nonce: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.user_id, self.client_nonce]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_bytes(fields[0]), field_bytes(fields[1]))
+    user_id: bytes = wire_field("identity")
+    client_nonce: bytes = wire_field("nonce")
 
 
-@register_message
+@register_message(11)
 @dataclass(frozen=True)
 class MunRegReply:
     KIND: ClassVar[str] = "mun-reg-reply"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("hash", "hash", "nonce", "identity")
 
-    user_alias: bytes
-    password_digest: bytes
-    home_nonce: bytes
-    home_id: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.user_alias, self.password_digest, self.home_nonce, self.home_id]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(*(field_bytes(f) for f in fields))
+    user_alias: bytes = wire_field("hash")
+    password_digest: bytes = wire_field("hash")
+    home_nonce: bytes = wire_field("nonce")
+    home_id: bytes = wire_field("identity")
 
 
-@register_message
+@register_message(12)
 @dataclass(frozen=True)
 class MunLogin:
     """First flight {ID_HA, N_HA, r_MU}; identical bytes every session."""
 
     KIND: ClassVar[str] = "mun-login"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("identity", "nonce", "hash")
 
-    home_id: bytes
-    home_nonce: bytes
-    user_alias: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.home_id, self.home_nonce, self.user_alias]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(*(field_bytes(f) for f in fields))
+    home_id: bytes = wire_field("identity")
+    home_nonce: bytes = wire_field("nonce")
+    user_alias: bytes = wire_field("hash")
 
 
-@register_message
+@register_message(13)
 @dataclass(frozen=True)
 class MunForward:
     KIND: ClassVar[str] = "mun-forward"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("identity", "nonce", "hash")
 
-    foreign_id: bytes
-    foreign_nonce: bytes
-    user_alias: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.foreign_id, self.foreign_nonce, self.user_alias]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(*(field_bytes(f) for f in fields))
+    foreign_id: bytes = wire_field("identity")
+    foreign_nonce: bytes = wire_field("nonce")
+    user_alias: bytes = wire_field("hash")
 
 
-@register_message
+@register_message(14)
 @dataclass(frozen=True)
 class MunHomeReply:
     KIND: ClassVar[str] = "mun-home-reply"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("hash", "hash")
 
-    home_tag: bytes  # S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA
-    pw_tag: bytes    # P_HA = h(PW || N_FA)
-
-    def wire_fields(self, cp) -> list:
-        return [self.home_tag, self.pw_tag]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_bytes(fields[0]), field_bytes(fields[1]))
+    home_tag: bytes = wire_field("hash")  # S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA
+    pw_tag: bytes = wire_field("hash")    # P_HA = h(PW || N_FA)
 
 
-@register_message
+@register_message(15)
 @dataclass(frozen=True)
 class MunForeignReply:
     """FA -> MU flight {S_FA, aP, (S_HA || ID_FA || N_FA)}; the trailing
     bundle is plain concatenation, not encryption."""
 
     KIND: ClassVar[str] = "mun-foreign-reply"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("hash", "point", "hash", "identity", "nonce")
 
-    foreign_tag: bytes       # S_FA = h(S_HA || N_FA || N_HA)
-    foreign_eph: Point       # a * P
-    bundle_home_tag: bytes
-    bundle_foreign_id: bytes
-    bundle_foreign_nonce: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [
-            self.foreign_tag,
-            self.foreign_eph,
-            self.bundle_home_tag,
-            self.bundle_foreign_id,
-            self.bundle_foreign_nonce,
-        ]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(
-            field_bytes(fields[0]),
-            field_point(fields[1], cp),
-            field_bytes(fields[2]),
-            field_bytes(fields[3]),
-            field_bytes(fields[4]),
-        )
+    foreign_tag: bytes = wire_field("hash")  # S_FA = h(S_HA || N_FA || N_HA)
+    foreign_eph: Point = wire_field("point")  # a * P
+    bundle_home_tag: bytes = wire_field("hash")
+    bundle_foreign_id: bytes = wire_field("identity")
+    bundle_foreign_nonce: bytes = wire_field("nonce")
 
 
-@register_message
+@register_message(16)
 @dataclass(frozen=True)
 class MunClientFinish:
     KIND: ClassVar[str] = "mun-client-finish"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "hash")
 
-    client_eph: Point  # b * P
-    finish_mac: bytes  # f_K(N_FA || bP)
-
-    def wire_fields(self, cp) -> list:
-        return [self.client_eph, self.finish_mac]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp), field_bytes(fields[1]))
+    client_eph: Point = wire_field("point")  # b * P
+    finish_mac: bytes = wire_field("hash")   # f_K(N_FA || bP)
 
 
-@register_message
+@register_message(17)
 @dataclass(frozen=True)
 class MunRefreshRequest:
     KIND: ClassVar[str] = "mun-refresh-request"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point",)
 
-    client_eph: Point
-
-    def wire_fields(self, cp) -> list:
-        return [self.client_eph]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp))
+    client_eph: Point = wire_field("point")
 
 
-@register_message
+@register_message(18)
 @dataclass(frozen=True)
 class MunRefreshResponse:
     KIND: ClassVar[str] = "mun-refresh-response"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "hash")
 
-    responder_eph: Point
-    confirm_mac: bytes  # f_{K_i}(new shared point || previous shared point)
-
-    def wire_fields(self, cp) -> list:
-        return [self.responder_eph, self.confirm_mac]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp), field_bytes(fields[1]))
+    responder_eph: Point = wire_field("point")
+    confirm_mac: bytes = wire_field("hash")  # f_{K_i}(new shared point || previous shared point)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +210,15 @@ def mun_register(
 
 # ---------------------------------------------------------------------------
 # authentication and key establishment
+
+
+def _ingress(suite: CryptoSuite, *points: Point) -> None:
+    """Validate every group element of an incoming message."""
+    try:
+        for pt in points:
+            suite.validate_point(pt)
+    except CurveError as exc:
+        raise MunValidationError(str(exc)) from exc
 
 
 def mun_login(cred: MunCredentials) -> MunLogin:
@@ -349,7 +272,7 @@ def mun_fa_respond(
         ),
         m3.pw_tag,
     )
-    if check != m3.home_tag:
+    if not hmac.compare_digest(check, m3.home_tag):
         raise MunAuthError("home tag mismatch")
     foreign_tag = suite.hash_fields([m3.home_tag, session.foreign_nonce, session.home_nonce])
     a = suite.rand_scalar(rng)
@@ -367,10 +290,7 @@ def mun_mu_respond(
 ) -> tuple[MunClientFinish, MunChannel]:
     """User recomputes both tags from its own password, then completes the
     key exchange."""
-    try:
-        suite.validate_point(m4.foreign_eph)
-    except CurveError as exc:
-        raise MunValidationError(str(exc)) from exc
+    _ingress(suite, m4.foreign_eph)
     home_tag = suite.xor160(
         suite.xor160(
             suite.hash_fields([m4.bundle_foreign_id, m4.bundle_foreign_nonce]),
@@ -379,7 +299,7 @@ def mun_mu_respond(
         suite.hash_fields([cred.password_digest, m4.bundle_foreign_nonce]),
     )
     foreign_tag = suite.hash_fields([home_tag, m4.bundle_foreign_nonce, cred.home_nonce])
-    if foreign_tag != m4.foreign_tag:
+    if not hmac.compare_digest(foreign_tag, m4.foreign_tag):
         raise MunAuthError("foreign tag mismatch; agents not authenticated")
     b = suite.rand_scalar(rng)
     client_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
@@ -392,16 +312,13 @@ def mun_mu_respond(
 def mun_fa_verify(
     suite: CryptoSuite, m5: MunClientFinish, session: MunFASession
 ) -> MunChannel:
-    try:
-        suite.validate_point(m5.client_eph)
-    except CurveError as exc:
-        raise MunValidationError(str(exc)) from exc
+    _ingress(suite, m5.client_eph)
     if session.eph_priv is None:
         raise MunError("foreign session has no ephemeral key")
     shared = suite.scalar_mul(session.eph_priv, m5.client_eph)
     key = SessionKey(suite.hash_fields([shared]))
     expected = suite.mac160(key.value, suite.encode([session.foreign_nonce, m5.client_eph]))
-    if expected != m5.finish_mac:
+    if not hmac.compare_digest(expected, m5.finish_mac):
         raise MunAuthError("finish MAC mismatch; user not authenticated")
     return MunChannel(key, shared)
 
@@ -418,10 +335,7 @@ def mun_update_init(suite: CryptoSuite, rng: random.Random) -> tuple[MunRefreshR
 def mun_update_respond(
     suite: CryptoSuite, m: MunRefreshRequest, prev: MunChannel, rng: random.Random
 ) -> tuple[MunRefreshResponse, MunChannel]:
-    try:
-        suite.validate_point(m.client_eph)
-    except CurveError as exc:
-        raise MunValidationError(str(exc)) from exc
+    _ingress(suite, m.client_eph)
     a_i = suite.rand_scalar(rng)
     responder_eph = suite.scalar_mul(a_i, suite.cp.generator, precomputable=True)
     shared = suite.scalar_mul(a_i, m.client_eph)
@@ -433,13 +347,10 @@ def mun_update_respond(
 def mun_update_confirm(
     suite: CryptoSuite, b_i: int, m: MunRefreshResponse, prev: MunChannel
 ) -> MunChannel:
-    try:
-        suite.validate_point(m.responder_eph)
-    except CurveError as exc:
-        raise MunValidationError(str(exc)) from exc
+    _ingress(suite, m.responder_eph)
     shared = suite.scalar_mul(b_i, m.responder_eph)
     key = SessionKey(suite.hash_fields([shared]), prev.key.epoch + 1)
     expected = suite.mac160(key.value, suite.encode([shared, prev.shared_point]))
-    if expected != m.confirm_mac:
+    if not hmac.compare_digest(expected, m.confirm_mac):
         raise MunAuthError("refresh MAC mismatch; keeping previous key")
     return MunChannel(key, shared)

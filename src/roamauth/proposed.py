@@ -23,6 +23,7 @@ after a failed check.
 
 from __future__ import annotations
 
+import hmac
 import random
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -38,7 +39,7 @@ from .suite import (
     Signature,
     SuiteError,
 )
-from .wire import register_message
+from .wire import register_message, wire_field
 
 CARD_SALT_BYTES = 16  # 128-bit card salt
 
@@ -162,189 +163,102 @@ class SessionKey:
 # messages
 
 
-@register_message
+@register_message(1)
 @dataclass(frozen=True)
 class RegRequest:
     KIND: ClassVar[str] = "reg-request"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("identity", "hash")
 
-    user_id: bytes
-    masked_pw: bytes  # h(PW || salt)
-
-    def wire_fields(self, cp) -> list:
-        return [self.user_id, self.masked_pw]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_bytes(fields[0]), field_bytes(fields[1]))
+    user_id: bytes = wire_field("identity")
+    masked_pw: bytes = wire_field("hash")  # h(PW || salt)
 
 
-@register_message
+@register_message(2)
 @dataclass(frozen=True)
 class CardIssue:
     KIND: ClassVar[str] = "card-issue"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("hash", "hash", "point", "identity")
 
-    masked_key: bytes
-    login_verifier: bytes
-    home_dh_pub: Point
-    home_id: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.masked_key, self.login_verifier, self.home_dh_pub, self.home_id]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(
-            field_bytes(fields[0]),
-            field_bytes(fields[1]),
-            field_point(fields[2], cp),
-            field_bytes(fields[3]),
-        )
+    masked_key: bytes = wire_field("hash")
+    login_verifier: bytes = wire_field("hash")
+    home_dh_pub: Point = wire_field("point")
+    home_id: bytes = wire_field("identity")
 
 
-@register_message
+@register_message(3)
 @dataclass(frozen=True)
 class LoginRequest:
     """First flight {A, DID, C, V1, ID_HA}; carries no plaintext identity."""
 
     KIND: ClassVar[str] = "login-request"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "identity", "point", "hash", "identity")
 
-    user_eph: Point     # A = a * P
-    masked_id: bytes    # DID = ID xor h(a * C)
-    home_dh_pub: Point  # C, so FA can run ECDH toward HA
-    user_tag: bytes     # V1 = h(N || aC || ID_HA)
-    home_id: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.user_eph, self.masked_id, self.home_dh_pub, self.user_tag, self.home_id]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(
-            field_point(fields[0], cp),
-            field_bytes(fields[1]),
-            field_point(fields[2], cp),
-            field_bytes(fields[3]),
-            field_bytes(fields[4]),
-        )
+    user_eph: Point = wire_field("point")       # A = a * P
+    masked_id: bytes = wire_field("identity")   # DID = ID xor h(a * C)
+    home_dh_pub: Point = wire_field("point")    # C, so FA can run ECDH toward HA
+    user_tag: bytes = wire_field("hash")        # V1 = h(N || aC || ID_HA)
+    home_id: bytes = wire_field("identity")
 
 
-@register_message
+@register_message(4)
 @dataclass(frozen=True)
 class ForeignChallenge:
     """FA -> HA flight {B, W2, V2}."""
 
     KIND: ClassVar[str] = "foreign-challenge"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "sym", "sig")
 
-    foreign_eph: Point   # B = b * P
-    enc_for_home: bytes  # E_{k(bC)}[A, Cert_FA, V1, DID]
-    foreign_sig: bytes   # signature over h(A, V1, DID)
-
-    def wire_fields(self, cp) -> list:
-        return [self.foreign_eph, self.enc_for_home, self.foreign_sig]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(
-            field_point(fields[0], cp),
-            field_bytes(fields[1]),
-            field_bytes(fields[2]),
-        )
+    foreign_eph: Point = wire_field("point")    # B = b * P
+    enc_for_home: bytes = wire_field("sym")     # E_{k(bC)}[A, Cert_FA, V1, DID]
+    foreign_sig: bytes = wire_field("sig")      # signature over h(A, V1, DID)
 
 
-@register_message
+@register_message(5)
 @dataclass(frozen=True)
 class HomeAnswer:
     """HA -> FA flight {W3, V3}."""
 
     KIND: ClassVar[str] = "home-answer"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("sym", "sig")
 
-    enc_for_foreign: bytes  # E_{k(cB)}[ID_FA, Cert_HA, A, B, W1]
-    home_sig: bytes         # signature over h(Cert_HA, W1)
-
-    def wire_fields(self, cp) -> list:
-        return [self.enc_for_foreign, self.home_sig]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_bytes(fields[0]), field_bytes(fields[1]))
+    enc_for_foreign: bytes = wire_field("sym")  # E_{k(cB)}[ID_FA, Cert_HA, A, B, W1]
+    home_sig: bytes = wire_field("sig")         # signature over h(Cert_HA, W1)
 
 
-@register_message
+@register_message(6)
 @dataclass(frozen=True)
 class LoginAccept:
     """Final flight FA -> MU {B, ID_FA, W1}."""
 
     KIND: ClassVar[str] = "login-accept"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "identity", "hash")
 
-    foreign_eph: Point
-    foreign_id: bytes
-    confirm_tag: bytes  # W1 = h(N || A || B || ID_FA || ID_HA)
-
-    def wire_fields(self, cp) -> list:
-        return [self.foreign_eph, self.foreign_id, self.confirm_tag]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp), field_bytes(fields[1]), field_bytes(fields[2]))
+    foreign_eph: Point = wire_field("point")
+    foreign_id: bytes = wire_field("identity")
+    confirm_tag: bytes = wire_field("hash")     # W1 = h(N || A || B || ID_FA || ID_HA)
 
 
-@register_message
+@register_message(7)
 @dataclass(frozen=True)
 class HomeAccept:
     """HA -> MU flight {U, W1, ID_HA} for the at-home flow."""
 
     KIND: ClassVar[str] = "home-accept"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "hash", "identity")
 
-    home_eph: Point     # U = u * P
-    confirm_tag: bytes  # W1 = h(N || A || C || U || ID_HA)
-    home_id: bytes
-
-    def wire_fields(self, cp) -> list:
-        return [self.home_eph, self.confirm_tag, self.home_id]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp), field_bytes(fields[1]), field_bytes(fields[2]))
+    home_eph: Point = wire_field("point")       # U = u * P
+    confirm_tag: bytes = wire_field("hash")     # W1 = h(N || A || C || U || ID_HA)
+    home_id: bytes = wire_field("identity")
 
 
-@register_message
+@register_message(8)
 @dataclass(frozen=True)
 class RefreshRequest:
     KIND: ClassVar[str] = "refresh-request"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point",)
 
-    user_eph: Point
-
-    def wire_fields(self, cp) -> list:
-        return [self.user_eph]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp))
+    user_eph: Point = wire_field("point")
 
 
-@register_message
+@register_message(9)
 @dataclass(frozen=True)
 class RefreshResponse:
     KIND: ClassVar[str] = "refresh-response"
-    COST_FIELDS: ClassVar[tuple[str, ...]] = ("point", "hash")
 
-    responder_eph: Point
-    confirm_tag: bytes  # h(shared point || previous key)
-
-    def wire_fields(self, cp) -> list:
-        return [self.responder_eph, self.confirm_tag]
-
-    @classmethod
-    def from_wire(cls, fields, cp):
-        return cls(field_point(fields[0], cp), field_bytes(fields[1]))
+    responder_eph: Point = wire_field("point")
+    confirm_tag: bytes = wire_field("hash")     # h(shared point || previous key)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +334,36 @@ def card_finalize(card: SmartCard, card_salt: bytes) -> SmartCard:
 # foreign-network login
 
 
+def _ingress(suite: CryptoSuite, *points: Point) -> None:
+    """Validate every group element of an incoming message."""
+    try:
+        for pt in points:
+            suite.validate_point(pt)
+    except CurveError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
+def _card_check(suite: CryptoSuite, mu: MUState,
+                rejected: str = "identity/password check failed") -> bytes:
+    """Card-local check of identity and password; returns h(PW || salt) or
+    raises LocalVerificationError(rejected).  No network traffic."""
+    card = mu.card
+    if card.card_salt is None:
+        raise LocalVerificationError("card has no salt installed")
+    masked_pw = suite.hash_fields([mu.password, card.card_salt])
+    check = suite.hash_fields([mu.user_id, masked_pw])
+    if not hmac.compare_digest(check, card.login_verifier):
+        raise LocalVerificationError(rejected)
+    return masked_pw
+
+
 def local_verify(suite: CryptoSuite, mu: MUState) -> bool:
     """Card-local check of identity and password; no network traffic."""
-    if mu.card.card_salt is None:
+    try:
+        _card_check(suite, mu)
+    except LocalVerificationError:
         return False
-    masked_pw = suite.hash_fields([mu.password, mu.card.card_salt])
-    check = suite.hash_fields([mu.user_id, masked_pw])
-    return check == mu.card.login_verifier
+    return True
 
 
 def login_begin(
@@ -434,13 +371,7 @@ def login_begin(
 ) -> tuple[LoginRequest, UserSession]:
     """Login flight 1 (user): verify locally, then build the anonymized request."""
     card = mu.card
-    if card.card_salt is None:
-        raise LocalVerificationError("card has no salt installed")
-    masked_pw = suite.hash_fields([mu.password, card.card_salt])
-    check = suite.hash_fields([mu.user_id, masked_pw])
-    if check != card.login_verifier:
-        raise LocalVerificationError("identity/password check failed")
-
+    masked_pw = _card_check(suite, mu)
     id_key = suite.xor160(card.masked_key, masked_pw)  # recovers h(ID || y)
     a = suite.rand_scalar(rng)
     user_eph = suite.scalar_mul(a, suite.cp.generator, precomputable=True)
@@ -455,11 +386,7 @@ def fa_process_login(
     suite: CryptoSuite, fa: FAKeyMaterial, m1: LoginRequest, rng: random.Random
 ) -> tuple[ForeignChallenge, ForeignSession]:
     """Login flight 2 (foreign agent): wrap the request for the home agent and sign it."""
-    try:
-        suite.validate_point(m1.user_eph)
-        suite.validate_point(m1.home_dh_pub)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m1.user_eph, m1.home_dh_pub)
 
     b = suite.rand_scalar(rng)
     foreign_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
@@ -487,10 +414,7 @@ def ha_process(
     """Login flight 3 (home agent): authenticate the foreign agent (certificate
     plus signature) and the user (unmask the identity, recompute the user
     tag), then answer."""
-    try:
-        suite.validate_point(m2.foreign_eph)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m2.foreign_eph)
 
     dh_point = suite.scalar_mul(ha.dh.priv, m2.foreign_eph)
     sym_key = suite.kdf_point(dh_point)
@@ -518,7 +442,7 @@ def ha_process(
     user_id = suite.xor160(masked_id, suite.hash_fields([user_dh]))
     id_key = suite.hash_fields([user_id, ha.master_secret])
     expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
-    if expected_tag != user_tag:
+    if not hmac.compare_digest(expected_tag, user_tag):
         raise UserAuthFailure("user tag mismatch; user not authenticated")
 
     foreign_id = cert.subject_id
@@ -575,14 +499,11 @@ def mu_finish(
 ) -> SessionKey:
     """Login completion (user): one tag check authenticates both agents, then
     derive the key."""
-    try:
-        suite.validate_point(m4.foreign_eph)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m4.foreign_eph)
     expected = suite.hash_fields(
         [session.id_key, session.user_eph, m4.foreign_eph, m4.foreign_id, mu.card.home_id]
     )
-    if expected != m4.confirm_tag:
+    if not hmac.compare_digest(expected, m4.confirm_tag):
         raise ConfirmMismatch("confirmation tag mismatch; agents not authenticated")
     shared = suite.scalar_mul(session.eph_priv, m4.foreign_eph)
     return SessionKey(suite.hash_fields([shared]))
@@ -603,10 +524,7 @@ def key_update_respond(
 ) -> tuple[RefreshResponse, SessionKey]:
     """Responder half of a refresh round: new ECDH share plus a tag that
     proves knowledge of the previous key."""
-    try:
-        suite.validate_point(m.user_eph)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m.user_eph)
     b_i = suite.rand_scalar(rng)
     responder_eph = suite.scalar_mul(b_i, suite.cp.generator, precomputable=True)
     shared = suite.scalar_mul(b_i, m.user_eph)
@@ -620,13 +538,10 @@ def key_update_confirm(
 ) -> SessionKey:
     """Initiator half: accept the new key only if the tag binds the previous
     one; on mismatch the previous key stays in force."""
-    try:
-        suite.validate_point(m.responder_eph)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m.responder_eph)
     shared = suite.scalar_mul(a_i, m.responder_eph)
     expected = suite.hash_fields([shared, prev.value])
-    if expected != m.confirm_tag:
+    if not hmac.compare_digest(expected, m.confirm_tag):
         raise ConfirmMismatch("refresh tag mismatch; keeping previous key")
     return SessionKey(suite.hash_fields([shared]), prev.epoch + 1)
 
@@ -640,16 +555,10 @@ def password_change(
 ) -> SmartCard:
     """Re-key the card under a new password and salt without contacting the
     home agent.  Rejected outright if the old password fails locally."""
-    card = mu.card
-    if card.card_salt is None:
-        raise LocalVerificationError("card has no salt installed")
     if not new_password:
         raise ValidationError("new password must be non-empty")
-    old_masked = suite.hash_fields([mu.password, card.card_salt])
-    check = suite.hash_fields([mu.user_id, old_masked])
-    if check != card.login_verifier:
-        raise LocalVerificationError("old password rejected; card unchanged")
-
+    card = mu.card
+    old_masked = _card_check(suite, mu, "old password rejected; card unchanged")
     new_salt = suite.rand_bytes(rng, CARD_SALT_BYTES)
     new_masked = suite.hash_fields([new_password, new_salt])
     masked_key = suite.xor160(suite.xor160(card.masked_key, old_masked), new_masked)
@@ -672,17 +581,15 @@ def home_ha_respond(
     suite: CryptoSuite, ha: HAKeyMaterial, m1: LoginRequest, rng: random.Random
 ) -> tuple[HomeAccept, SessionKey]:
     """Home agent authenticates the user directly and answers in one flight."""
-    try:
-        suite.validate_point(m1.user_eph)
-        suite.validate_point(m1.home_dh_pub)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, m1.user_eph, m1.home_dh_pub)
+    if m1.home_id != ha.home_id:
+        raise SessionMismatch("login request is addressed to another home agent")
 
     user_dh = suite.scalar_mul(ha.dh.priv, m1.user_eph)
     user_id = suite.xor160(m1.masked_id, suite.hash_fields([user_dh]))
     id_key = suite.hash_fields([user_id, ha.master_secret])
     expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
-    if expected_tag != m1.user_tag:
+    if not hmac.compare_digest(expected_tag, m1.user_tag):
         raise UserAuthFailure("user tag mismatch; user not authenticated")
 
     u = suite.rand_scalar(rng)
@@ -698,14 +605,13 @@ def home_ha_respond(
 def home_mu_confirm(
     suite: CryptoSuite, mu: MUState, session: UserSession, hm2: HomeAccept
 ) -> SessionKey:
-    try:
-        suite.validate_point(hm2.home_eph)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
+    _ingress(suite, hm2.home_eph)
+    if hm2.home_id != mu.card.home_id:
+        raise SessionMismatch("home accept names another home agent")
     expected = suite.hash_fields(
         [session.id_key, session.user_eph, mu.card.home_dh_pub, hm2.home_eph, mu.card.home_id]
     )
-    if expected != hm2.confirm_tag:
+    if not hmac.compare_digest(expected, hm2.confirm_tag):
         raise ConfirmMismatch("home confirmation tag mismatch")
     shared = suite.scalar_mul(session.eph_priv, hm2.home_eph)
     return SessionKey(suite.hash_fields([shared]))

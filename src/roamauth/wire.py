@@ -1,19 +1,29 @@
 """Message framing and nominal size accounting.
 
-Wire format per message: kind(1 byte) || canonically encoded field list
-(see encoding.py).  Each message class declares its cost profile as a tuple
-of parameter kinds; the nominal bit widths follow the standard accounting
-for this protocol family (group element 1024, identity 160, hash 160,
-random number 128, symmetric/asymmetric encryption block 1024) regardless
-of the actual curve encoding in use.
+Wire format per message: kind id (1 byte) || canonically encoded field list
+(see encoding.py).  Each message class is a frozen dataclass whose fields
+are all declared with `wire_field(kind)`, and is registered under an
+explicit kind id.  That one declaration drives the codec and the cost
+accounting: the nominal bit widths follow the standard accounting for this
+protocol family (group element 1024, identity 160, hash 160, random number
+128, symmetric/asymmetric encryption block 1024) regardless of the actual
+curve encoding in use.
+
+Decoding is canonical: a frame must name a registered kind, carry exactly
+that kind's field count with the right tags, and fixed-width kinds must
+have exactly their width.  Anything else raises `EncodingError`.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Protocol, runtime_checkable
+from dataclasses import dataclass, field, fields
+from typing import Any
 
-from .curve import CurveParams
-from .encoding import EncodingError, decode_concat, encode_concat
+from .curve import CurveError, CurveParams
+from .encoding import EncodingError, decode_concat, encode_concat, field_bytes, field_point
+from .suite import DIGEST_BYTES
+
+NONCE_BYTES = 16  # 128-bit nonces
 
 # Nominal per-field widths in bits.
 PARAM_BITS: dict[str, int] = {
@@ -25,43 +35,80 @@ PARAM_BITS: dict[str, int] = {
     "sig": 1024,
 }
 
-
-@runtime_checkable
-class WireMessage(Protocol):
-    KIND: ClassVar[str]
-    COST_FIELDS: ClassVar[tuple[str, ...]]
-
-    def wire_fields(self, cp: CurveParams) -> list: ...
+# Exact payload widths in bytes.  Points are checked by the curve decoder;
+# "sym" and "sig" are the only variable-width kinds.
+FIXED_BYTES: dict[str, int] = {"identity": DIGEST_BYTES, "hash": DIGEST_BYTES, "nonce": NONCE_BYTES}
 
 
-_REGISTRY: dict[str, type] = {}
-_KIND_IDS: dict[str, int] = {}
+def wire_field(kind: str) -> Any:
+    """Declare a message field and its cost kind (a key of PARAM_BITS)."""
+    if kind not in PARAM_BITS:
+        raise ValueError(f"unknown wire field kind {kind!r}")
+    return field(metadata={"wire": kind})
 
 
-def register_message(cls: type) -> type:
-    """Class decorator: make a message serializable and give it a kind id."""
-    kind = cls.KIND
-    if kind in _REGISTRY:
-        raise ValueError(f"duplicate message kind {kind!r}")
-    _REGISTRY[kind] = cls
-    _KIND_IDS[kind] = len(_KIND_IDS) + 1
-    return cls
+@dataclass(frozen=True)
+class _Spec:
+    cls: type
+    prefix: bytes              # the kind id byte
+    names: tuple[str, ...]
+    kinds: tuple[str, ...]
+    bits: int
 
 
-def nominal_bits(msg: WireMessage) -> int:
-    return sum(PARAM_BITS[k] for k in msg.COST_FIELDS)
+_BY_ID: dict[int, _Spec] = {}
+_BY_CLASS: dict[type, _Spec] = {}
 
 
-def serialize(cp: CurveParams, msg: WireMessage) -> bytes:
-    return bytes([_KIND_IDS[msg.KIND]]) + encode_concat(msg.wire_fields(cp), cp)
+def register_message(kind_id: int):
+    """Class decorator: make a message dataclass serializable under `kind_id`."""
+
+    def register(cls: type) -> type:
+        if kind_id in _BY_ID:
+            raise ValueError(f"duplicate message kind id {kind_id} "
+                             f"({cls.KIND!r} and {_BY_ID[kind_id].cls.KIND!r})")
+        spec_fields = fields(cls)
+        if any("wire" not in f.metadata for f in spec_fields):
+            raise ValueError(f"{cls.__name__}: every field must be a wire_field")
+        kinds = tuple(f.metadata["wire"] for f in spec_fields)
+        spec = _Spec(cls, bytes([kind_id]), tuple(f.name for f in spec_fields), kinds,
+                     sum(PARAM_BITS[k] for k in kinds))
+        _BY_ID[kind_id] = _BY_CLASS[cls] = spec
+        return cls
+
+    return register
+
+
+def nominal_bits(msg) -> int:
+    return _BY_CLASS[type(msg)].bits
+
+
+def serialize(cp: CurveParams, msg) -> bytes:
+    spec = _BY_CLASS[type(msg)]
+    return spec.prefix + encode_concat([getattr(msg, n) for n in spec.names], cp)
 
 
 def deserialize(cp: CurveParams, data: bytes):
     if not data:
         raise EncodingError("empty message")
-    kind_id = data[0]
-    for kind, kid in _KIND_IDS.items():
-        if kid == kind_id:
-            cls = _REGISTRY[kind]
-            return cls.from_wire(decode_concat(data[1:]), cp)
-    raise EncodingError(f"unknown message kind id {kind_id}")
+    spec = _BY_ID.get(data[0])
+    if spec is None:
+        raise EncodingError(f"unknown message kind id {data[0]}")
+    raw = decode_concat(data[1:])
+    if len(raw) != len(spec.kinds):
+        raise EncodingError(f"{spec.cls.KIND}: expected {len(spec.kinds)} fields, got {len(raw)}")
+    values = []
+    for kind, item in zip(spec.kinds, raw):
+        if kind == "point":
+            try:
+                values.append(field_point(item, cp))
+            except CurveError as exc:
+                raise EncodingError(f"{spec.cls.KIND}: {exc}") from exc
+            continue
+        value = field_bytes(item)
+        width = FIXED_BYTES.get(kind)
+        if width is not None and len(value) != width:
+            raise EncodingError(f"{spec.cls.KIND}: {kind} field of {len(value)} bytes, "
+                                f"expected {width}")
+        values.append(value)
+    return spec.cls(*values)

@@ -10,6 +10,7 @@ Criterion map:
  5 key agreement (mass runs)
 """
 
+import hashlib
 import random
 import time
 
@@ -135,7 +136,8 @@ def _agreement_trials(suite: CryptoSuite, scheme_scenarios, runs, label):
     failures = 0
     total = 0
     for scheme, scenario, kwargs in scheme_scenarios:
-        world_rng = random.Random(hash((label, scheme, scenario)) & 0xFFFFFFFF)
+        tag = hashlib.sha256(f"{label}/{scheme}/{scenario}".encode()).digest()
+        world_rng = random.Random(int.from_bytes(tag[:4], "big"))
         builder = build_proposed_world if scheme == "proposed" else build_mun_world
         world = builder(suite, world_rng)
         for i in range(runs):
