@@ -142,10 +142,6 @@ class ProposedAdapter:
 
     # -- capability grants ----------------------------------------------------
 
-    def observe_session(self, rng: random.Random) -> Transcript:
-        return run_session(self.suite, "proposed", "foreign-auth", rng,
-                           world=self.world).transcript
-
     def public_material(self) -> dict:
         cp = self.suite.cp
         return {
@@ -392,16 +388,12 @@ class ProposedAdapter:
         # The only password-bearing value is h(PW || salt); without the salt
         # no dictionary candidate can be confirmed, and without the card the
         # insider cannot even begin a login.
-        confirmable = 0
-        for cand in dictionary:
-            # There is no computable predicate linking cand to `masked`.
-            _ = cand
         return AttackRun(
             None, None, False,
             "registration request carries only a salted password hash; "
             f"0 of {len(dictionary)} dictionary candidates confirmable "
             "(salt never transits), and no card is held to attempt a login",
-            extra={"confirmable_candidates": confirmable,
+            extra={"confirmable_candidates": 0,
                    "dictionary_size": len(dictionary)},
         )
 
@@ -427,25 +419,22 @@ class ProposedAdapter:
         user_dh = ec.scalar_mul(cp, c, m1.user_eph)
         user_id = self.suite.xor160(m1.masked_id, self.suite.hash_fields([user_dh]))
         extra = {"recovered_user_id": user_id.hex()}
+        honest = view.public_material.get("session_key")
         if view.cdl_oracle is not None:
             a = view.cdl_oracle(m1.user_eph)
             if a is not None:
                 shared = ec.scalar_mul(cp, a, m4.foreign_eph)
                 return AttackRun(
-                    self.suite.hash_fields([shared]), self._session_key_of(view), True,
+                    self.suite.hash_fields([shared]), honest, True,
                     "discrete-log oracle recovered the ephemeral; past key reconstructed",
                     extra=extra,
                 )
         return AttackRun(
-            None, self._session_key_of(view), True,
+            None, honest, True,
             "identity recovered from long-term secrets, but the past session key "
             "needs an ephemeral scalar (discrete-log hard at this size)",
             extra=extra,
         )
-
-    def _session_key_of(self, view: AdversaryView) -> bytes | None:
-        raw = view.public_material.get("session_key")
-        return raw
 
 
 class MunAdapter:
@@ -459,10 +448,6 @@ class MunAdapter:
         self._other_cred: mun_mod.MunCredentials | None = None
 
     # -- capability grants ----------------------------------------------------
-
-    def observe_session(self, rng: random.Random) -> Transcript:
-        return run_session(self.suite, "mun", "foreign-auth", rng,
-                           world=self.world).transcript
 
     def public_material(self) -> dict:
         return {
@@ -521,6 +506,15 @@ class MunAdapter:
 
     # -- impersonation ------------------------------------------------------------
 
+    def _serve_login(self, m1: mun_mod.MunLogin, rng: random.Random):
+        """Drive honest FA and HA through a login up to the foreign reply;
+        returns (reply, FA session) or raises MunError."""
+        suite = self.suite
+        with honest_step():
+            m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, m1, rng)
+            m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
+            return mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
+
     def _complete_as_user(self, m4: mun_mod.MunForeignReply, fa_sess,
                           rng: random.Random) -> AttackRun:
         """Finish the handshake in the user role using only wire knowledge:
@@ -554,10 +548,7 @@ class MunAdapter:
             old.home_id, suite.rand_bytes(rng, mun_mod.NONCE_BYTES), old.user_alias
         )
         try:
-            with honest_step():
-                m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, forged, rng)
-                m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
-                m4, fa_sess = mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
+            m4, fa_sess = self._serve_login(forged, rng)
         except mun_mod.MunError as exc:
             return AttackRun(None, None, False, f"agents rejected the forged login: {exc}")
         run = self._complete_as_user(m4, fa_sess, rng)
@@ -670,10 +661,7 @@ class MunAdapter:
         suite = self.suite
         m1 = mun_mod.mun_login(cred)
         try:
-            with honest_step():
-                m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, m1, rng)
-                m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
-                m4, fa_sess = mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
+            m4, fa_sess = self._serve_login(m1, rng)
             m5, chan = mun_mod.mun_mu_respond(suite, cred, m4, rng)
             with honest_step():
                 fa_chan = mun_mod.mun_fa_verify(suite, m5, fa_sess)
@@ -691,13 +679,9 @@ class MunAdapter:
         raw = _find_raw(view, self.login_kind)
         if raw is None:
             return AttackRun(None, None, False, "view holds no prior login message")
-        suite = self.suite
-        m1 = wire.deserialize(suite.cp, raw)  # replayed verbatim
+        m1 = wire.deserialize(self.suite.cp, raw)  # replayed verbatim
         try:
-            with honest_step():
-                m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, m1, rng)
-                m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
-                m4, fa_sess = mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
+            m4, fa_sess = self._serve_login(m1, rng)
         except mun_mod.MunError as exc:
             return AttackRun(None, None, False, f"agents rejected the replay: {exc}")
         run = self._complete_as_user(m4, fa_sess, rng)
@@ -740,6 +724,11 @@ def make_adapter(scheme: str, suite: CryptoSuite, rng: random.Random, world=None
 # capability factory
 
 
+def _observe(adapter, rng: random.Random):
+    """One honest foreign-auth session in the adapter's world."""
+    return run_session(adapter.suite, adapter.name, "foreign-auth", rng, world=adapter.world)
+
+
 def surveil(
     adapter,
     rng: random.Random,
@@ -753,8 +742,7 @@ def surveil(
     """Build an adversary view with exactly the requested grants."""
     view = AdversaryView(public_material=adapter.public_material())
     for _ in range(sessions):
-        transcript = adapter.observe_session(rng)
-        view.transcripts.append(transcript)
+        view.transcripts.append(_observe(adapter, rng).transcript)
     if steal_card:
         view.stolen_card = adapter.steal_card()
     if insider:
@@ -934,17 +922,11 @@ def run_attack(
 def _forward_secrecy_view(adapter, rng: random.Random, *, cdl: bool) -> AdversaryView:
     """Observe one full session, then grant all long-term secrets plus the
     honest session key as the comparison target."""
-    res = run_session(adapter.suite, adapter.name, "foreign-auth", rng, world=adapter.world)
-    view = AdversaryView(
-        transcripts=[res.transcript],
-        public_material=adapter.public_material(),
-        long_term_secrets=adapter.long_term_secrets(),
-    )
+    res = _observe(adapter, rng)
+    view = surveil(adapter, rng, sessions=0, long_term=True, cdl=cdl)
+    view.transcripts.append(res.transcript)
     key_hex = res.outcome.get("fa_key") or res.outcome.get("mu_key")
     view.public_material["session_key"] = bytes.fromhex(key_hex) if key_hex else None
-    if cdl:
-        cp = adapter.suite.cp
-        view.cdl_oracle = lambda pt: brute_force_dlog(cp, pt)
     return view
 
 

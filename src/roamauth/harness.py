@@ -9,8 +9,6 @@ come from instrumented primitive calls rather than hand bookkeeping.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import csv
 import io
 import json
@@ -23,7 +21,7 @@ from . import proposed as prop
 from . import wire
 from .curve import CurveError
 from .encoding import EncodingError
-from .instrument import OpCounts, counting
+from .instrument import OpCounts, active_counter, counting
 from .suite import CryptoSuite, KeyPair, identity_from_label
 
 MU, FA, HA = "MU", "FA", "HA"
@@ -66,24 +64,20 @@ class ScenarioSpec:
 
 # ---------------------------------------------------------------------------
 # honest-step marking (used by the adversary-confinement audit)
+#
+# An honest step is a counted step: the harness binds a party's counter around
+# each step, and no adversary code runs inside a counting block (bus hooks run
+# in `MessageBus.send`, between steps).
 
-_honest_flag: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "roamauth_honest_step", default=False
-)
 
-
-@contextlib.contextmanager
-def honest_step():
-    """Mark the dynamic extent of an honest party's protocol step."""
-    token = _honest_flag.set(True)
-    try:
-        yield
-    finally:
-        _honest_flag.reset(token)
+def honest_step(counter: OpCounts | None = None):
+    """Mark the dynamic extent of an honest party's protocol step, billing its
+    operations to `counter` (a scratch counter if none is given)."""
+    return counting(counter or OpCounts())
 
 
 def in_honest_step() -> bool:
-    return _honest_flag.get()
+    return active_counter() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +182,40 @@ class Transcript:
 
     @classmethod
     def from_binary(cls, data: bytes) -> "Transcript":
+        """Parse `to_binary` output; a short read, trailing bytes, a name that
+        is not UTF-8 or a secure flag other than 0/1 raise `HarnessError`."""
         if data[:5] != b"RATR\x01":
             raise HarnessError("bad transcript magic")
         pos = 5
 
-        def pstr() -> str:
+        def take(n: int) -> bytes:
             nonlocal pos
-            ln = int.from_bytes(data[pos : pos + 2], "big")
-            pos += 2
-            s = data[pos : pos + ln].decode()
-            pos += ln
-            return s
+            if pos + n > len(data):
+                raise HarnessError(f"transcript truncated at byte {len(data)}")
+            pos += n
+            return data[pos - n : pos]
 
-        scheme, scenario, curve = pstr(), pstr(), pstr()
-        count = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        t = cls(scheme, scenario, curve)
-        for i in range(count):
+        def uint(width: int) -> int:
+            return int.from_bytes(take(width), "big")
+
+        def pstr() -> str:
+            try:
+                return take(uint(2)).decode()
+            except UnicodeDecodeError as exc:
+                raise HarnessError(f"transcript name is not UTF-8: {exc}") from exc
+
+        t = cls(pstr(), pstr(), pstr())
+        for i in range(uint(4)):
             sender, receiver, kind, phase = pstr(), pstr(), pstr(), pstr()
-            secure = bool(data[pos])
-            pos += 1
-            bits = int.from_bytes(data[pos : pos + 4], "big")
-            pos += 4
-            ln = int.from_bytes(data[pos : pos + 4], "big")
-            pos += 4
-            payload = data[pos : pos + ln]
-            pos += ln
-            t.append(TranscriptEntry(i, sender, receiver, kind, payload, bits, phase, secure))
+            secure = uint(1)
+            if secure > 1:
+                raise HarnessError(f"secure flag {secure} is neither 0 nor 1")
+            bits = uint(4)
+            payload = take(uint(4))
+            t.append(TranscriptEntry(i, sender, receiver, kind, payload, bits, phase,
+                                     bool(secure)))
+        if pos != len(data):
+            raise HarnessError(f"{len(data) - pos} trailing bytes after the transcript")
         return t
 
 
@@ -233,9 +234,11 @@ class MessageBus:
         self.suite = suite
         self.transcript = transcript
         self.adversary = adversary
+        self.receiver: str | None = None  # receiver of the latest frame
 
     def send(self, sender: str, receiver: str, msg, *, phase: str = "main",
              secure: bool = False):
+        self.receiver = receiver
         raw = wire.serialize(self.suite.cp, msg)
         if self.adversary is not None and not secure:
             raw = self.adversary(sender, receiver, msg.KIND, raw)
@@ -469,8 +472,10 @@ def run_session(
 ) -> SessionResult:
     """Execute one scenario end to end and account for it.
 
-    The outcome dict always carries "success"; on an abort it carries the
-    aborting party and reason instead of keys.
+    The outcome dict always carries "success"; on an abort it carries, instead
+    of keys, the reason ("abort"), the exception class ("error") and the
+    aborting party ("party": the party whose step raised, else the receiver of
+    the frame that could not be delivered).
     """
     if scheme not in SCHEMES:
         raise HarnessError(f"unknown scheme {scheme!r}")
@@ -482,10 +487,19 @@ def run_session(
     transcript = Transcript(scheme, scenario, suite.cp.name)
     bus = MessageBus(suite, transcript, adversary)
     counters = {MU: OpCounts(), FA: OpCounts(), HA: OpCounts()}
+    stepping: str | None = None  # party of the running step; kept if it raises
 
     def step(party: str, fn, *args):
-        with counting(counters[party]), honest_step():
-            return fn(*args)
+        nonlocal stepping
+        stepping = party
+        with counting(counters[party]):
+            result = fn(*args)
+        stepping = None
+        return result
+
+    def aborted(reason: str, exc: Exception) -> dict:
+        return {"success": False, "abort": reason, "error": type(exc).__name__,
+                "party": stepping or bus.receiver}
 
     if world is None:
         # Pre-session setup (CA, agents, victim registration) is attributed
@@ -493,17 +507,16 @@ def run_session(
         with counting(OpCounts()):
             world = (build_proposed_world if scheme == "proposed" else build_mun_world)(suite, rng)
 
-    outcome: dict = {"success": False}
     try:
         if scheme == "proposed":
             outcome = _run_proposed(suite, world, scenario, rng, bus, step, update_rounds)
         else:
             outcome = _run_mun(suite, world, scenario, rng, bus, step, update_rounds)
     except (prop.SchemeError, mun_mod.MunError) as exc:
-        outcome = {"success": False, "abort": f"{type(exc).__name__}: {exc}"}
+        outcome = aborted(f"{type(exc).__name__}: {exc}", exc)
     except (EncodingError, CurveError) as exc:
         # message corrupted in flight to the point of not parsing
-        outcome = {"success": False, "abort": f"undeliverable message: {exc}"}
+        outcome = aborted(f"undeliverable message: {exc}", exc)
 
     return SessionResult(transcript, measure_costs(transcript, counters, rule), outcome)
 
@@ -723,17 +736,14 @@ def measure_features(suite: CryptoSuite, rng: random.Random) -> dict[str, dict[s
         "mun": len(mw.ha.registry) == 0,
     }
 
-    # local verification: wrong password must abort before any traffic.
+    # local verification: a wrong password must abort before any traffic.
+    # The card check runs before any random draw, so `rng` is left as it was.
     bad_mu = prop.MUState(pw.mu.user_id, b"wrong-password", pw.mu.card)
-    transcript = Transcript("proposed", "foreign-auth", suite.cp.name)
-    bus = MessageBus(suite, transcript)
-    aborted_locally = False
-    try:
-        prop.login_begin(suite, bad_mu, rng)
-    except prop.LocalVerificationError:
-        aborted_locally = True
+    local = run_session(suite, "proposed", "foreign-auth", rng,
+                        world=ProposedWorld(pw.ca, pw.ha, pw.fa, bad_mu))
     out["local-verification"] = {
-        "proposed": aborted_locally and not transcript.entries,
+        "proposed": (local.outcome.get("error") == "LocalVerificationError"
+                     and not local.transcript.entries),
         "mun": False,  # the scheme defines no card-local check before login
     }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -48,50 +48,42 @@ class OpCounts:
         return sum(getattr(self, f.name) for f in fields(self) if f.name != "mul_pre")
 
 
-@dataclass
-class _CounterState:
-    stack: list[OpCounts] = field(default_factory=list)
-    unattributed: int = 0
-
-
-_state: contextvars.ContextVar[_CounterState | None] = contextvars.ContextVar(
+_active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(
     "roamauth_opcounts", default=None
 )
-
-
-def _get_state() -> _CounterState:
-    st = _state.get()
-    if st is None:
-        st = _CounterState()
-        _state.set(st)
-    return st
+_unattributed = 0
 
 
 @contextlib.contextmanager
 def counting(counter: OpCounts):
     """Attribute suite operations to `counter` within the block."""
-    st = _get_state()
-    st.stack.append(counter)
+    token = _active.set(counter)
     try:
         yield counter
     finally:
-        st.stack.pop()
+        _active.reset(token)
+
+
+def active_counter() -> OpCounts | None:
+    """The counter bound by the innermost `counting` block, if any."""
+    return _active.get()
 
 
 def record(op: str, *, pre: bool = False) -> None:
-    st = _get_state()
-    if not st.stack:
-        st.unattributed += 1
+    global _unattributed
+    counter = _active.get()
+    if counter is None:
+        _unattributed += 1
         return
-    counter = st.stack[-1]
     setattr(counter, op, getattr(counter, op) + 1)
     if op == "mul" and pre:
         counter.mul_pre += 1
 
 
 def reset_unattributed() -> None:
-    _get_state().unattributed = 0
+    global _unattributed
+    _unattributed = 0
 
 
 def unattributed_ops() -> int:
-    return _get_state().unattributed
+    return _unattributed

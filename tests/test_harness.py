@@ -3,11 +3,14 @@ exact round counts, instrumented operation tables, and the functionality
 matrix."""
 
 import copy
+import dataclasses
 import random
 
 import pytest
 
 from roamauth import harness, instrument
+from roamauth import mun as mun_mod
+from roamauth import proposed as prop
 from roamauth.attacks import AttackOutcome
 from roamauth.harness import (
     CostReport,
@@ -167,6 +170,68 @@ def test_instrumentation_complete_during_sessions(toy_suite):
 
 
 # ---------------------------------------------------------------------------
+# step context: an honest step is a counted step
+
+
+def test_nested_counting_restores_the_outer_counter_after_a_raise(toy_suite):
+    outer, inner = instrument.OpCounts(), instrument.OpCounts()
+    instrument.reset_unattributed()
+    with instrument.counting(outer):
+        with pytest.raises(RuntimeError):
+            with instrument.counting(inner):
+                toy_suite.hash_fields([b"inner"])
+                raise RuntimeError("step failed")
+        toy_suite.hash_fields([b"outer"])
+    toy_suite.hash_fields([b"after"])
+    assert (inner.hash, outer.hash) == (1, 1)
+    assert instrument.unattributed_ops() == 1
+    assert not harness.in_honest_step()
+
+
+STEP_FUNCTIONS = {
+    "proposed": (prop, ("login_begin", "fa_process_login", "ha_process", "fa_finish",
+                        "mu_finish")),
+    "mun": (mun_mod, ("mun_login", "mun_fa_forward", "mun_ha_auth",
+                      "mun_fa_respond", "mun_mu_respond", "mun_fa_verify")),
+}
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_adversary_hook_runs_outside_honest_steps(toy_suite, monkeypatch, scheme):
+    seen: list[tuple[str, bool]] = []
+
+    def hook(sender, receiver, kind, raw):
+        seen.append(("hook " + kind, harness.in_honest_step()))
+        return raw
+
+    module, names = STEP_FUNCTIONS[scheme]
+    for name in names:
+        def spy(*args, _fn=getattr(module, name), _name=name):
+            seen.append((_name, harness.in_honest_step()))
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+
+    res = run_session(toy_suite, scheme, "foreign-auth", random.Random(12), adversary=hook)
+    assert res.outcome["success"]
+    assert [name for name, _ in seen if not name.startswith("hook")] == list(names)
+    hooks = [honest for name, honest in seen if name.startswith("hook")]
+    assert hooks == [False] * (len(names) - 1)  # one frame between consecutive steps
+    assert all(honest for name, honest in seen if not name.startswith("hook"))
+
+
+def test_honest_step_without_a_counter_is_not_unattributed(toy_suite):
+    instrument.reset_unattributed()
+    with harness.honest_step():
+        assert harness.in_honest_step()
+        toy_suite.hash_fields([b"x"])
+    assert instrument.unattributed_ops() == 0
+    counter = instrument.OpCounts()
+    with harness.honest_step(counter):
+        toy_suite.hash_fields([b"x"])
+    assert counter.hash == 1 and not harness.in_honest_step()
+
+
+# ---------------------------------------------------------------------------
 # transcript serialization
 
 
@@ -180,6 +245,24 @@ def test_transcript_binary_roundtrip(toy_suite):
     t = run_session(toy_suite, "mun", "key-update", random.Random(7), update_rounds=2).transcript
     again = Transcript.from_binary(t.to_binary())
     assert again == t
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_transcript_binary_rejects_malformed_files(toy_suite, scheme):
+    t = run_session(toy_suite, scheme, "foreign-auth", random.Random(7)).transcript
+    data = t.to_binary()
+    for cut in range(len(data)):
+        with pytest.raises(harness.HarnessError, match="truncated" if cut >= 5 else "magic"):
+            Transcript.from_binary(data[:cut])
+    with pytest.raises(harness.HarnessError, match="trailing"):
+        Transcript.from_binary(data + b"\x00")
+    with pytest.raises(harness.HarnessError, match="UTF-8"):
+        Transcript.from_binary(data[:7] + b"\xff" + data[8:])  # first byte of the scheme name
+    secure = copy.deepcopy(t)
+    secure.entries[0] = dataclasses.replace(secure.entries[0], secure=True)
+    flag = next(i for i, (a, b) in enumerate(zip(data, secure.to_binary())) if a != b)
+    with pytest.raises(harness.HarnessError, match="secure flag"):
+        Transcript.from_binary(data[:flag] + b"\x02" + data[flag + 1:])
 
 
 def test_transcript_messages_reparse(toy_suite):
@@ -211,6 +294,7 @@ def test_adversary_hook_can_tamper(toy_suite):
                       adversary=flip_accept)
     assert not res.outcome["success"]
     assert "ConfirmMismatch" in res.outcome["abort"]
+    assert (res.outcome["error"], res.outcome["party"]) == ("ConfirmMismatch", "MU")
 
 
 def test_tampering_a_point_field_aborts_cleanly(toy_suite):
@@ -227,6 +311,16 @@ def test_tampering_a_point_field_aborts_cleanly(toy_suite):
                       adversary=flip_point)
     assert not res.outcome["success"]
     assert "undeliverable" in res.outcome["abort"] or "Validation" in res.outcome["abort"]
+    assert res.outcome["error"] in ("EncodingError", "CurveError", "ValidationError")
+    assert res.outcome["party"] == "FA"  # the receiver of the corrupted login request
+
+
+def test_wrong_password_aborts_at_the_user_before_any_traffic(toy_suite):
+    world = build_proposed_world(toy_suite, random.Random(13))
+    world.mu = prop.MUState(world.mu.user_id, b"wrong-password", world.mu.card)
+    res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(13), world=world)
+    assert (res.outcome["error"], res.outcome["party"]) == ("LocalVerificationError", "MU")
+    assert res.transcript.entries == []
 
 
 # ---------------------------------------------------------------------------

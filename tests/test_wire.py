@@ -219,6 +219,7 @@ def test_relabelled_kind_of_the_same_shape_aborts():
     outcome = _attack_once("mun", "foreign-auth", "mun-login",
                            lambda raw: bytes([KIND_IDS[mun_mod.MunForward]]) + raw[1:])
     assert outcome["abort"] == "undeliverable message: expected mun-login, got mun-forward"
+    assert (outcome["error"], outcome["party"]) == ("EncodingError", "FA")
 
 
 def test_deserialize_rejects_an_off_curve_point_as_encoding_error():
