@@ -70,10 +70,10 @@ class ScenarioSpec:
 # in `MessageBus.send`, between steps).
 
 
-def honest_step(counter: OpCounts | None = None):
-    """Mark the dynamic extent of an honest party's protocol step, billing its
-    operations to `counter` (a scratch counter if none is given)."""
-    return counting(counter or OpCounts())
+def honest_step():
+    """Mark the dynamic extent of an honest party's protocol step driven by
+    attack code; its operations are billed to a scratch counter."""
+    return counting(OpCounts())
 
 
 def in_honest_step() -> bool:
