@@ -2,13 +2,31 @@
 
 Two registered profiles: a tiny curve whose whole group can be enumerated
 (used by brute-force oracles in tests and discrete-log demos) and NIST P-256
-for full-strength runs.  All arithmetic here is raw and uninstrumented; the
-crypto suite layers accounting on top.
+for full-strength runs.  Nothing here is instrumented; the crypto suite
+layers accounting on top.
+
+Which arithmetic serves which profile:
+
+* toy: every operation is the pure-Python code in this module.
+* P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
+  to OpenSSL (through `cryptography`), and `suite` does the same for ECDSA
+  verification.  Every other input, and everything else here (point
+  addition, encoding, validation), stays in pure Python.  The pure-Python
+  multiplication, `_scalar_mul_ref`, is the reference the OpenSSL path is
+  tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from cryptography.hazmat.primitives.asymmetric.ec import (
+    ECDH,
+    SECP256R1,
+    EllipticCurvePublicKey,
+    EllipticCurvePublicNumbers,
+    derive_private_key,
+)
 
 
 class CurveError(ValueError):
@@ -153,7 +171,19 @@ def _jac_add(
 
 def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     """k-fold sum of pt; k must lie in [1, n-1] except for the explicit
-    order check k == n.  Uses Jacobian coordinates internally; agrees with
+    order check k == n.
+
+    On P-256, k in [2, n-2] times a finite on-curve point runs in OpenSSL;
+    every other call, and every call on the toy curve, runs
+    `_scalar_mul_ref`.  Both give the same point for every input."""
+    if (cp is P256 and isinstance(k, int) and 2 <= k <= cp.n - 2
+            and not pt.is_infinity and is_on_curve(cp, pt)):
+        return _p256_mul(k, pt)
+    return _scalar_mul_ref(cp, k, pt)
+
+
+def _scalar_mul_ref(cp: CurveParams, k: int, pt: Point) -> Point:
+    """Pure-Python double-and-add in Jacobian coordinates; agrees with
     iterated point_add (checked exhaustively on the toy profile)."""
     if not isinstance(k, int):
         raise CurveError("scalar must be an integer")
@@ -175,6 +205,38 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     zi = pow(Z, -1, p)
     zi2 = zi * zi % p
     return Point(X * zi2 % p, Y * zi2 % p * zi % p)
+
+
+_SECP256R1 = SECP256R1()
+
+
+def p256_public_key(pt: Point) -> EllipticCurvePublicKey:
+    """OpenSSL key object for a finite on-curve P-256 point."""
+    return EllipticCurvePublicNumbers(pt.x, pt.y, _SECP256R1).public_key()
+
+
+def _p256_mul(k: int, pt: Point) -> Point:
+    """k*pt on P-256 through OpenSSL, for k in [2, n-2] and pt finite and on
+    the curve.
+
+    k*G is the public half of the private key k.  For any other pt, ECDH
+    gives only x-coordinates: x1 of P1 = k*pt and x3 of P1 + pt = (k+1)*pt.
+    With pt = (x2, y2), the chord through P1 and pt has slope
+    (y2 - y1)/(x2 - x1) and x3 = slope^2 - x1 - x2, so
+
+        2*y1*y2 = f(x1) + y2^2 - (x3 + x1 + x2)(x2 - x1)^2,  f(x) = x^3 + ax + b
+
+    (Brier and Joye, PKC 2002).  The range of k keeps P1 away from +-pt and
+    (k+1)*pt finite, and y2 != 0 because the group has odd order."""
+    if pt.x == P256.gx and pt.y == P256.gy:
+        pub = derive_private_key(k, _SECP256R1).public_key().public_numbers()
+        return Point(pub.x, pub.y)
+    peer = p256_public_key(pt)
+    x1 = int.from_bytes(derive_private_key(k, _SECP256R1).exchange(ECDH(), peer), "big")
+    x3 = int.from_bytes(derive_private_key(k + 1, _SECP256R1).exchange(ECDH(), peer), "big")
+    p, x2, y2 = P256.p, pt.x, pt.y
+    num = x1 * x1 * x1 + P256.a * x1 + P256.b + y2 * y2 - (x3 + x1 + x2) * (x2 - x1) ** 2
+    return Point(x1, num * pow(2 * y2, -1, p) % p)
 
 
 def point_to_bytes(cp: CurveParams, pt: Point) -> bytes:

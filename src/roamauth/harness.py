@@ -96,6 +96,30 @@ class TranscriptEntry:
     secure: bool = False  # sent over the registration secure channel
 
 
+# Key -> exact type of each `to_jsonl` record.  The check is on the exact
+# type because bool is a subclass of int: `secure` must not be 1 and `bits`
+# must not be true.
+_JSONL_HEADER = {"scheme": str, "scenario": str, "curve": str}
+_JSONL_ENTRY = {"i": int, "sender": str, "receiver": str, "kind": str, "phase": str,
+                "secure": bool, "bits": int, "hex": str}
+
+
+def _jsonl_record(line: str, schema: dict[str, type]) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise HarnessError(f"transcript line is not JSON: {exc}") from exc
+    if not isinstance(rec, dict) or rec.keys() != schema.keys():
+        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
+        raise HarnessError(f"transcript record has keys {found}, expected {sorted(schema)}")
+    for key, typ in schema.items():
+        if type(rec[key]) is not typ:
+            raise HarnessError(
+                f"transcript field {key!r} is {type(rec[key]).__name__}, expected {typ.__name__}"
+            )
+    return rec
+
+
 @dataclass
 class Transcript:
     scheme: str
@@ -144,18 +168,31 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
+        """Parse `to_jsonl` output; a line that is not JSON, a missing or extra
+        key, a value of the wrong type, a payload that is not lowercase hex,
+        an index out of sequence or empty text raise `HarnessError`."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = json.loads(lines[0])
+        if not lines:
+            raise HarnessError("empty transcript")
+        header = _jsonl_record(lines[0], _JSONL_HEADER)
         t = cls(header["scheme"], header["scenario"], header["curve"])
-        for ln in lines[1:]:
-            rec = json.loads(ln)
+        for i, ln in enumerate(lines[1:]):
+            rec = _jsonl_record(ln, _JSONL_ENTRY)
+            if rec["i"] != i:
+                raise HarnessError(f"entry index {rec['i']} out of sequence (expected {i})")
+            try:
+                payload = bytes.fromhex(rec["hex"])
+            except ValueError:
+                payload = None
+            if payload is None or payload.hex() != rec["hex"]:
+                raise HarnessError(f"payload of entry {i} is not lowercase hex")
             t.append(
                 TranscriptEntry(
-                    rec["i"],
+                    i,
                     rec["sender"],
                     rec["receiver"],
                     rec["kind"],
-                    bytes.fromhex(rec["hex"]),
+                    payload,
                     rec["bits"],
                     rec["phase"],
                     rec["secure"],

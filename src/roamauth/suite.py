@@ -24,8 +24,11 @@ import os
 import random
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ec import ECDSA
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA1, SHA256
 
 from . import curve as ec
 from . import instrument
@@ -101,6 +104,17 @@ class Certificate:
             public_key=field_point(fields[1], cp),
             signature=Signature.from_bytes(cp, field_bytes(fields[2])),
         )
+
+
+# OpenSSL's prehashed ECDSA takes a digest only as long as a named hash; a
+# digest of any other length is verified by the pure-Python reference.
+_PREHASH = {20: SHA1(), 32: SHA256()}
+
+
+def _verifiable(cp: CurveParams, pub: Point, sig: Signature) -> bool:
+    """Signature scalars in [1, n-1] and a finite on-curve key."""
+    return (1 <= sig.r < cp.n and 1 <= sig.s < cp.n
+            and not pub.is_infinity and ec.is_on_curve(cp, pub))
 
 
 def _sha256(data: bytes) -> bytes:
@@ -256,10 +270,25 @@ class CryptoSuite:
             return Signature(r, s)
 
     def _verify_digest(self, pub: Point, digest: bytes, sig: Signature) -> bool:
-        cp = self.cp
-        if not (1 <= sig.r < cp.n and 1 <= sig.s < cp.n):
+        """ECDSA verification; on P-256 with a 20- or 32-byte digest OpenSSL
+        checks the equation, otherwise `_verify_digest_ref` does."""
+        prehash = _PREHASH.get(len(digest))
+        if self.cp is not ec.P256 or prehash is None:
+            return self._verify_digest_ref(pub, digest, sig)
+        if not _verifiable(self.cp, pub, sig):
             return False
-        if not ec.is_on_curve(cp, pub) or pub.is_infinity:
+        try:
+            ec.p256_public_key(pub).verify(
+                encode_dss_signature(sig.r, sig.s), digest, ECDSA(Prehashed(prehash))
+            )
+        except InvalidSignature:
+            return False
+        return True
+
+    def _verify_digest_ref(self, pub: Point, digest: bytes, sig: Signature) -> bool:
+        """Textbook check: x(u1*G + u2*pub) mod n == r."""
+        cp = self.cp
+        if not _verifiable(cp, pub, sig):
             return False
         z = _bits2int(digest, cp.n)
         w = pow(sig.s, -1, cp.n)

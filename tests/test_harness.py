@@ -4,6 +4,7 @@ matrix."""
 
 import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -260,6 +261,48 @@ def test_transcript_binary_rejects_malformed_files(toy_suite, scheme):
     flag = next(i for i, (a, b) in enumerate(zip(data, secure.to_binary())) if a != b)
     with pytest.raises(harness.HarnessError, match="secure flag"):
         Transcript.from_binary(data[:flag] + b"\x02" + data[flag + 1:])
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_transcript_jsonl_rejects_malformed_files(toy_suite, scheme):
+    t = run_session(toy_suite, scheme, "foreign-auth", random.Random(7)).transcript
+    text = t.to_jsonl()
+    header, *entries = [json.loads(ln) for ln in text.splitlines()]
+
+    def dump(*records) -> str:
+        return "\n".join(json.dumps(r) for r in records) + "\n"
+
+    def edited(key, value) -> str:
+        return dump(header, {**entries[0], key: value}, *entries[1:])
+
+    assert Transcript.from_jsonl(dump(header, *entries)) == t
+    for cut in range(1, len(text)):
+        if "\n" not in text[cut - 1 : cut + 1]:  # a cut at a line end leaves whole lines
+            with pytest.raises(harness.HarnessError, match="not JSON"):
+                Transcript.from_jsonl(text[:cut])
+    for bad in ("", "\n \n", "[]\n"):
+        with pytest.raises(harness.HarnessError, match="empty|keys"):
+            Transcript.from_jsonl(bad)
+    renamed = dict(entries[0])
+    renamed["type"] = renamed.pop("kind")
+    missing = dict(entries[0])
+    del missing["bits"]
+    for rec in (renamed, missing, {**entries[0], "extra": 1}):
+        with pytest.raises(harness.HarnessError, match="keys"):
+            Transcript.from_jsonl(dump(header, rec, *entries[1:]))
+    with pytest.raises(harness.HarnessError, match="keys"):
+        Transcript.from_jsonl(dump({**header, "seed": 7}, *entries))
+    for key, value in (("secure", 2), ("secure", 0), ("bits", True), ("bits", "96"),
+                       ("i", 0.0), ("kind", None)):
+        with pytest.raises(harness.HarnessError, match=f"field '{key}'"):
+            Transcript.from_jsonl(edited(key, value))
+    for payload in ("zz", "abc", "AB", " " + entries[0]["hex"]):
+        with pytest.raises(harness.HarnessError, match="lowercase hex"):
+            Transcript.from_jsonl(edited("hex", payload))
+    with pytest.raises(harness.HarnessError, match="out of sequence"):
+        Transcript.from_jsonl(dump(header, entries[1], entries[0], *entries[2:]))
+    with pytest.raises(harness.HarnessError, match="out of sequence"):
+        Transcript.from_jsonl(dump(header, *entries[1:]))
 
 
 def test_transcript_messages_reparse(toy_suite):
