@@ -836,6 +836,8 @@ def attack_traceability(adapter, rng: random.Random, trials: int = 200) -> Attac
     """Distinguishing game: the linker sees two login messages and must say
     whether they came from the same user; success means beating guessing by
     a wide margin."""
+    if trials < 1:
+        raise ValueError(f"traceability needs at least one trial, got {trials}")
     correct = 0
     for _ in range(trials):
         same = rng.random() < 0.5

@@ -175,7 +175,7 @@ def load_dictionary(path: Path) -> list[bytes]:
     """One candidate per line; lines of even-length hex are taken as raw
     bytes, anything else as UTF-8."""
     words: list[bytes] = []
-    for line in path.read_text().splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue
@@ -204,9 +204,14 @@ def cmd_attack(args) -> int:
         )
         return EXIT_USAGE
 
+    try:
+        dictionary = load_dictionary(Path(args.dict)) if args.dict else None
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read dictionary: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     rng = random.Random(args.seed)
     adapter = attacks.make_adapter(args.scheme, suite, rng)
-    dictionary = load_dictionary(Path(args.dict)) if args.dict else None
     outcome = attacks.run_attack(
         args.attack, adapter, rng,
         dictionary=dictionary, trials=args.trials, cdl=args.cdl_oracle,
@@ -302,6 +307,17 @@ def cmd_report(args) -> int:
 # parser
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roamauth",
@@ -330,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="declarative scenario JSON (overrides scheme/scenario/seed/curve)")
     sp.add_argument("--card", help="card file from `register` (proposed scheme)")
     sp.add_argument("--password", help="password for --card logins")
-    sp.add_argument("--update-rounds", type=int, default=1)
+    sp.add_argument("--update-rounds", type=_at_least_one, default=1)
     sp.add_argument("--tamper", help="message kind to flip one byte of in flight")
     sp.add_argument("--out", default="runs", help="output directory")
     sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=harness.SCHEMES, required=True)
     sp.add_argument("--expect", choices=("success", "failure"), required=True)
     sp.add_argument("--dict", help="dictionary file (one candidate per line)")
-    sp.add_argument("--trials", type=int, default=200,
+    sp.add_argument("--trials", type=_at_least_one, default=200,
                     help="trials for the traceability game")
     sp.add_argument("--cdl-oracle", action="store_true",
                     help="grant the small-group discrete-log oracle (toy curve)")

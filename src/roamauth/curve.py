@@ -7,13 +7,19 @@ layers accounting on top.
 
 Which arithmetic serves which profile:
 
-* toy: every operation is the pure-Python code in this module.
+* toy: `scalar_mul` with k in [1, n-1] on a finite on-curve point is a
+  table lookup, k*Q = (k * log Q mod n)*G, in a table of the whole group
+  built at import by iterated addition.  Every other input (k == n, the
+  identity, an off-curve point), and everything else here, is the
+  pure-Python code in this module.
 * P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
   to OpenSSL (through `cryptography`), and `suite` does the same for ECDSA
   verification.  Every other input, and everything else here (point
-  addition, encoding, validation), stays in pure Python.  The pure-Python
-  multiplication, `_scalar_mul_ref`, is the reference the OpenSSL path is
-  tested against.
+  addition, encoding, validation), stays in pure Python.
+
+The pure-Python multiplication, `_scalar_mul_ref`, is the reference both fast
+paths are tested against.  The adversary's discrete-log oracle,
+`brute_force_dlog`, does not use the toy table.
 """
 
 from __future__ import annotations
@@ -173,12 +179,17 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     """k-fold sum of pt; k must lie in [1, n-1] except for the explicit
     order check k == n.
 
-    On P-256, k in [2, n-2] times a finite on-curve point runs in OpenSSL;
-    every other call, and every call on the toy curve, runs
-    `_scalar_mul_ref`.  Both give the same point for every input."""
+    On P-256, k in [2, n-2] times a finite on-curve point runs in OpenSSL.
+    On the toy curve, k in [1, n-1] times a finite on-curve point is read
+    from the group table.  Every other call runs `_scalar_mul_ref`.  All
+    paths give the same point for every input."""
     if (cp is P256 and isinstance(k, int) and 2 <= k <= cp.n - 2
             and not pt.is_infinity and is_on_curve(cp, pt)):
         return _p256_mul(k, pt)
+    # Only finite on-curve points are in _TOY_LOG, so no is_on_curve call.
+    if (cp is TOY and isinstance(k, int) and 1 <= k < cp.n
+            and (j := _TOY_LOG.get(pt)) is not None):
+        return _TOY_EXP[k * j % cp.n]
     return _scalar_mul_ref(cp, k, pt)
 
 
@@ -334,6 +345,11 @@ P256 = CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
     n=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
 )
+
+# The whole toy group, index k -> k*G, and each finite point's discrete log:
+# `scalar_mul` reads toy k*Q as G times k*log(Q) mod n.
+_TOY_EXP = enumerate_group(TOY)
+_TOY_LOG = {pt: k for k, pt in enumerate(_TOY_EXP) if k}
 
 PROFILES: dict[str, CurveParams] = {
     "toy": TOY,

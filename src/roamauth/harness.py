@@ -19,7 +19,7 @@ from typing import Callable
 from . import mun as mun_mod
 from . import proposed as prop
 from . import wire
-from .curve import CurveError
+from .curve import PROFILES, CurveError
 from .encoding import EncodingError
 from .instrument import OpCounts, active_counter, counting
 from .suite import CryptoSuite, KeyPair, identity_from_label
@@ -39,6 +39,12 @@ SCENARIOS = ("registration", "foreign-auth", "home-auth", "key-update", "passwor
 SCHEMES = ("proposed", "mun")
 
 
+# Key -> exact type of each scenario-file field; as in the transcript loaders,
+# bool is not accepted where an int is expected.
+_SPEC_FIELDS = {"scheme": str, "scenario": str, "seed": int, "curve": str,
+                "update_rounds": int}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Declarative scenario definition, loadable from a small JSON file."""
@@ -51,14 +57,32 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
+        """Read a scenario JSON object.  A file that is not an object, a
+        missing scheme or scenario, an unknown key, a value of the wrong exact
+        type, an unknown scheme, scenario or curve, or update_rounds below 1
+        raise `HarnessError`."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        spec = cls(**{k: raw[k] for k in raw
-                      if k in ("scheme", "scenario", "seed", "curve", "update_rounds")})
+        if not isinstance(raw, dict):
+            raise HarnessError(f"scenario file holds a {type(raw).__name__}, expected an object")
+        for key in ("scheme", "scenario"):
+            if key not in raw:
+                raise HarnessError(f"scenario file has no {key!r}")
+        for key, value in raw.items():
+            if key not in _SPEC_FIELDS:
+                raise HarnessError(f"unknown scenario key {key!r}; expected {sorted(_SPEC_FIELDS)}")
+            if type(value) is not _SPEC_FIELDS[key]:
+                raise HarnessError(f"scenario field {key!r} is {type(value).__name__}, "
+                                   f"expected {_SPEC_FIELDS[key].__name__}")
+        spec = cls(**raw)
         if spec.scheme not in SCHEMES:
             raise HarnessError(f"unknown scheme {spec.scheme!r}")
         if spec.scenario not in SCENARIOS:
             raise HarnessError(f"unknown scenario {spec.scenario!r}")
+        if spec.curve not in PROFILES:
+            raise HarnessError(f"unknown curve {spec.curve!r}; expected one of {sorted(PROFILES)}")
+        if spec.update_rounds < 1:
+            raise HarnessError(f"update_rounds {spec.update_rounds} is below 1")
         return spec
 
 
@@ -520,6 +544,8 @@ def run_session(
         raise HarnessError(f"unknown scenario {scenario!r}")
     if scheme == "mun" and scenario in ("home-auth", "password-change"):
         raise UnsupportedScenario(f"the mun scheme does not define {scenario}")
+    if type(update_rounds) is not int or update_rounds < 1:
+        raise HarnessError(f"update_rounds must be an int >= 1, got {update_rounds!r}")
 
     transcript = Transcript(scheme, scenario, suite.cp.name)
     bus = MessageBus(suite, transcript, adversary)

@@ -186,7 +186,7 @@ class CryptoSuite:
         if len(d1) != len(d2):
             raise SuiteError(f"xor operands differ in length: {len(d1)} vs {len(d2)}")
         instrument.record("xor")
-        return bytes(a ^ b for a, b in zip(d1, d2))
+        return (int.from_bytes(d1, "big") ^ int.from_bytes(d2, "big")).to_bytes(len(d1), "big")
 
     # -- group operations ----------------------------------------------------
 

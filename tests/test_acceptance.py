@@ -20,6 +20,7 @@ from roamauth import attacks, proposed as prop
 from roamauth.curve import (
     INFINITY,
     TOY,
+    _scalar_mul_ref,
     brute_force_dlog,
     enumerate_group,
     point_add,
@@ -226,6 +227,8 @@ def test_criterion_8_toy_oracle_suite(toy_suite):
         acc = point_add(TOY, acc, base2)
         assert scalar_mul(TOY, k, TOY.generator) == table[k]
         assert scalar_mul(TOY, k, base2) == acc
+        assert _scalar_mul_ref(TOY, k, TOY.generator) == table[k]
+        assert _scalar_mul_ref(TOY, k, base2) == acc
 
     # ECDH agreement on sampled scalar pairs, checked against the table.
     r = random.Random(8)

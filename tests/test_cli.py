@@ -98,6 +98,30 @@ def test_handshake_scenario_file(tmp_path):
     assert run("handshake", "--scenario-file", str(bad), "--out", str(out)) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fields", [
+    {"scheme": "proposed", "scenario": "foreign-auth", "curve": "nope"},
+    {"scheme": "proposed", "scenario": "key-update", "curve": "toy", "update_rounds": "x"},
+    {"scheme": "proposed", "scenario": "key-update", "curve": "toy", "update_rounds": 0},
+    {"scheme": "proposed", "scenario": "foreign-auth", "curve": "toy", "seed": True},
+])
+def test_handshake_bad_scenario_file_is_usage_error(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fields))
+    assert run("handshake", "--scenario-file", str(bad), "--out", str(tmp_path / "r")) == EXIT_USAGE
+    assert "bad scenario file" in capsys.readouterr().err
+    bad.write_text(json.dumps([fields]))
+    assert run("handshake", "--scenario-file", str(bad), "--out", str(tmp_path / "r")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("rounds", ["0", "-2", "x"])
+def test_handshake_update_rounds_below_one_is_usage_error(tmp_path, rounds):
+    with pytest.raises(SystemExit) as exc:
+        run("handshake", "--scenario", "key-update", "--curve", "toy",
+            "--update-rounds", rounds, "--out", str(tmp_path / "r"))
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------------------
 # attack
 
@@ -152,6 +176,35 @@ def test_attack_with_dictionary_file(tmp_path, toy_suite):
     assert run("attack", "--attack", "offline-guess", "--scheme", "mun",
                "--curve", "toy", "--expect", "success", "--seed", "5",
                "--dict", str(dict_path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_attack_trials_below_one_is_usage_error(trials):
+    with pytest.raises(SystemExit) as exc:
+        run("attack", "--attack", "traceability", "--scheme", "mun", "--curve", "toy",
+            "--expect", "success", "--trials", trials)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_traceability_game_needs_a_trial(toy_suite):
+    import random
+
+    from roamauth.attacks import attack_traceability, make_adapter
+
+    adapter = make_adapter("mun", toy_suite, random.Random(5))
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least one trial"):
+            attack_traceability(adapter, random.Random(5), trials)
+
+
+def test_attack_unreadable_dictionary_is_usage_error(tmp_path, capsys):
+    assert run("attack", "--attack", "offline-guess", "--scheme", "mun", "--curve", "toy",
+               "--expect", "success", "--dict", str(tmp_path / "missing.txt")) == EXIT_USAGE
+    assert "cannot read dictionary" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"caf\xe9\n")
+    assert run("attack", "--attack", "offline-guess", "--scheme", "mun", "--curve", "toy",
+               "--expect", "success", "--dict", str(latin1)) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from roamauth import curve as ec
 from roamauth.curve import (
     INFINITY,
     P256,
@@ -80,7 +81,43 @@ def test_associativity_sampled(toy_table):
 def test_scalar_mul_matches_iterated_addition_for_every_scalar(toy_table):
     for k in range(1, TOY.n):
         assert scalar_mul(TOY, k, TOY.generator) == toy_table[k]
+        assert ec._scalar_mul_ref(TOY, k, TOY.generator) == toy_table[k]
     assert scalar_mul(TOY, TOY.n, TOY.generator) == INFINITY
+    assert ec._scalar_mul_ref(TOY, TOY.n, TOY.generator) == INFINITY
+
+
+def test_toy_table_path_matches_reference(toy_table):
+    """The toy fast path (k*Q read from the group table) against the
+    Jacobian reference: every k in [1, n] on four bases, and a few k on every
+    finite point."""
+    n = TOY.n
+    r = random.Random(12)
+    seeded_point = toy_table[r.randrange(2, n - 1)]
+    for q in (TOY.generator, negate(TOY, TOY.generator), toy_table[5], seeded_point):
+        for k in range(1, n + 1):
+            assert scalar_mul(TOY, k, q) == ec._scalar_mul_ref(TOY, k, q), (k, q)
+    seeded_k = r.randrange(3, n - 1)
+    for q in toy_table[1:]:
+        for k in (1, 2, n - 1, n, seeded_k):
+            assert scalar_mul(TOY, k, q) == ec._scalar_mul_ref(TOY, k, q), (k, q)
+
+
+def test_toy_edge_inputs_take_the_reference_path(monkeypatch):
+    calls = []
+    real = ec._scalar_mul_ref
+    monkeypatch.setattr(ec, "_scalar_mul_ref",
+                        lambda cp, k, pt: calls.append((k, pt)) or real(cp, k, pt))
+    g = TOY.generator
+    scalar_mul(TOY, 1, g)
+    scalar_mul(TOY, TOY.n - 1, g)
+    assert calls == []  # in-range scalars on a finite point read the table
+    off_curve = Point(2, 3)
+    scalar_mul(TOY, TOY.n, g)
+    scalar_mul(TOY, 5, INFINITY)
+    scalar_mul(TOY, 5, off_curve)
+    assert calls == [(TOY.n, g), (5, INFINITY), (5, off_curve)]
+    TOY.validate()  # the order check n*G
+    assert calls[-1] == (TOY.n, g)
 
 
 def test_scalar_mul_identity_and_order():

@@ -49,6 +49,42 @@ def test_identical_seed_gives_identical_transcript_bytes(toy_suite, scheme, scen
         assert r3.transcript.to_binary() != r1.transcript.to_binary()
 
 
+def test_scenario_spec_load_rejects_malformed_files(tmp_path):
+    path = tmp_path / "spec.json"
+    good = {"scheme": "proposed", "scenario": "key-update", "seed": 4, "curve": "toy",
+            "update_rounds": 2}
+    path.write_text(json.dumps(good))
+    assert harness.ScenarioSpec.load(str(path)) == harness.ScenarioSpec(**good)
+    bad_files = [
+        [good],
+        "proposed",
+        {"scenario": "key-update"},
+        {"scheme": "proposed"},
+        {**good, "rounds": 2},
+        {**good, "scheme": "nope"},
+        {**good, "scenario": "nope"},
+        {**good, "curve": "nope"},
+        {**good, "curve": 1},
+        {**good, "seed": "4"},
+        {**good, "seed": True},
+        {**good, "seed": 4.0},
+        {**good, "update_rounds": "x"},
+        {**good, "update_rounds": True},
+        {**good, "update_rounds": 0},
+        {**good, "update_rounds": -2},
+    ]
+    for raw in bad_files:
+        path.write_text(json.dumps(raw))
+        with pytest.raises(harness.HarnessError):
+            harness.ScenarioSpec.load(str(path))
+
+
+@pytest.mark.parametrize("rounds", [0, -2, True, 1.0, "2"])
+def test_run_session_rejects_bad_update_rounds(toy_suite, rounds):
+    with pytest.raises(harness.HarnessError, match="update_rounds"):
+        run_session(toy_suite, "proposed", "key-update", random.Random(1), update_rounds=rounds)
+
+
 # ---------------------------------------------------------------------------
 # round counts
 
