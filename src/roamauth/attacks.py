@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from . import curve as ec
 from . import mun as mun_mod
@@ -34,6 +34,7 @@ from .harness import (
     build_proposed_world,
     honest_step,
     run_session,
+    strict_record,
 )
 from .suite import CryptoSuite, identity_from_label
 
@@ -59,6 +60,11 @@ class AttackOutcome:
             },
             indent=2,
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "AttackOutcome":
+        """Parse `to_json` output; any other record raises `HarnessError`."""
+        return cls(**strict_record(text, get_type_hints(cls), "attack outcome"))
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import attacks, harness
 from . import curve as ec
 from . import proposed as prop
-from .suite import CryptoSuite, SuiteConfig, identity_from_label
+from .suite import DIGEST_BYTES, CryptoSuite, SuiteConfig, SuiteError, identity_from_label
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -34,7 +34,11 @@ EXIT_USAGE = 2
 
 
 def _suite_for(curve_name: str | None) -> CryptoSuite:
-    cfg = SuiteConfig.load()
+    try:
+        cfg = SuiteConfig.load()
+    except (SuiteError, OSError, ValueError) as exc:  # ValueError: not JSON
+        print(f"error: bad ROAMAUTH_CONFIG: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from exc
     if curve_name:
         cfg = SuiteConfig(curve=curve_name, hash=cfg.hash, cipher=cfg.cipher,
                           signature=cfg.signature)
@@ -76,19 +80,26 @@ def cmd_register(args) -> int:
     return EXIT_OK
 
 
+_CARD = {"curve": str, "world_seed": int, "user_label": str, "masked_key": str,
+         "login_verifier": str, "home_dh_pub": str, "home_id": str, "card_salt": str}
+
+
 def load_card(suite: CryptoSuite, path: Path) -> tuple[prop.SmartCard, str, int]:
-    rec = json.loads(path.read_text())
+    """Read a `register` card file; a malformed record, a card from another
+    curve, a bad hex value, width or home point raise `HarnessError`."""
+    rec = harness.strict_record(path.read_text(encoding="utf-8"), _CARD, "card file")
     if rec["curve"] != suite.cp.name:
-        raise ValueError(
-            f"card was issued on curve {rec['curve']}, current profile is {suite.cp.name}"
-        )
-    card = prop.SmartCard(
-        masked_key=bytes.fromhex(rec["masked_key"]),
-        login_verifier=bytes.fromhex(rec["login_verifier"]),
-        home_dh_pub=ec.point_from_bytes(suite.cp, bytes.fromhex(rec["home_dh_pub"])),
-        home_id=bytes.fromhex(rec["home_id"]),
-        card_salt=bytes.fromhex(rec["card_salt"]),
-    )
+        raise harness.HarnessError(f"card was issued on curve {rec['curve']}, not {suite.cp.name}")
+    try:
+        raw = {k: bytes.fromhex(rec[k]) for k in
+               ("masked_key", "login_verifier", "home_id", "home_dh_pub", "card_salt")}
+        if any(len(raw[k]) != DIGEST_BYTES for k in ("masked_key", "login_verifier", "home_id")):
+            raise harness.HarnessError(f"card file: a hash or id is not {DIGEST_BYTES} bytes")
+        home_dh_pub = suite.validate_point(ec.point_from_bytes(suite.cp, raw["home_dh_pub"]))
+        card = prop.SmartCard(raw["masked_key"], raw["login_verifier"], home_dh_pub, raw["home_id"])
+        card = prop.card_finalize(card, raw["card_salt"])
+    except (ValueError, prop.ValidationError) as exc:  # ValueError: hex or CurveError
+        raise harness.HarnessError(f"card file: {exc}") from exc
     return card, rec["user_label"], rec["world_seed"]
 
 
@@ -129,7 +140,7 @@ def cmd_handshake(args) -> int:
             return EXIT_USAGE
         try:
             card, label, world_seed = load_card(suite, Path(args.card))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, harness.HarnessError) as exc:
             print(f"error: cannot load card: {exc}", file=sys.stderr)
             return EXIT_USAGE
         world = harness.build_proposed_world(suite, random.Random(world_seed),
@@ -251,18 +262,20 @@ def cmd_report(args) -> int:
 
     cost_reports = {}
     missing: list[str] = []
-    for scheme, scenario in REQUIRED_COSTS:
-        path = runs / f"{scheme}-{scenario}-cost.json"
-        if not path.exists():
-            missing.append(str(path))
-            continue
-        cost_reports[scheme] = harness.CostReport.from_json(path.read_text())
-
-    outcome_files = sorted(runs.glob("attack-*.json"))
     outcomes: dict[str, dict[str, attacks.AttackOutcome]] = {}
-    for path in outcome_files:
-        rec = json.loads(path.read_text())
-        outcomes.setdefault(rec["attack"], {})[rec["scheme"]] = attacks.AttackOutcome(**rec)
+    try:
+        for scheme, scenario in REQUIRED_COSTS:
+            path = runs / f"{scheme}-{scenario}-cost.json"
+            if not path.exists():
+                missing.append(str(path))
+                continue
+            cost_reports[scheme] = harness.CostReport.from_json(path.read_text(encoding="utf-8"))
+        for path in sorted(runs.glob("attack-*.json")):
+            outcome = attacks.AttackOutcome.from_json(path.read_text(encoding="utf-8"))
+            outcomes.setdefault(outcome.attack, {})[outcome.scheme] = outcome
+    except (OSError, ValueError, harness.HarnessError) as exc:
+        print(f"error: bad run artifact {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     needed = [
         n for n in attacks.ATTACK_NAMES
         if n not in outcomes or any(s not in outcomes[n] for s in ("proposed", "mun"))

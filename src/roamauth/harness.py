@@ -13,8 +13,8 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, get_type_hints
 
 from . import mun as mun_mod
 from . import proposed as prop
@@ -39,10 +39,40 @@ SCENARIOS = ("registration", "foreign-auth", "home-auth", "key-update", "passwor
 SCHEMES = ("proposed", "mun")
 
 
-# Key -> exact type of each scenario-file field; as in the transcript loaders,
-# bool is not accepted where an int is expected.
-_SPEC_FIELDS = {"scheme": str, "scenario": str, "seed": int, "curve": str,
-                "update_rounds": int}
+def strict_record(text: str, schema: dict, what: str, optional=frozenset()) -> dict:
+    """Parse `text` as one JSON object with exactly the keys of `schema`, less
+    any in `optional`, each value of its exact type; anything else raises
+    `HarnessError`.  A schema value is a type (bool is not an int) or a nested
+    schema: a dict of exact keys, `{str: s}` for any keys, `[s]` for a list,
+    or `(s, None)` for `s` or null."""
+    try:
+        rec = json.loads(text)
+        json.dumps(rec, ensure_ascii=False).encode()  # refuses lone surrogates
+    except (ValueError, RecursionError) as exc:
+        raise HarnessError(f"{what} is not JSON: {exc}") from exc
+
+    def check(value, schema, path: str, optional=frozenset()) -> None:
+        if isinstance(schema, tuple):
+            if value is None:
+                return
+            schema = schema[0]
+        record = isinstance(schema, dict) and str not in schema
+        if record and (type(value) is not dict
+                       or not schema.keys() - optional <= value.keys() <= schema.keys()):
+            found = sorted(value) if type(value) is dict else type(value).__name__
+            where = f"{what} field {path!r}" if path else what
+            raise HarnessError(f"{where} has keys {found}, expected {sorted(schema)}")
+        expected = type(schema) if isinstance(schema, (dict, list)) else schema
+        if type(value) is not expected:
+            raise HarnessError(f"{what} field {path!r} is {type(value).__name__}, "
+                               f"expected {expected.__name__}")
+        if isinstance(schema, (dict, list)):
+            for key, item in value.items() if expected is dict else enumerate(value):
+                sub = schema[key] if record else schema[str] if expected is dict else schema[0]
+                check(item, sub, f"{path}.{key}" if path else key)
+
+    check(rec, schema, "", optional)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -57,23 +87,12 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
-        """Read a scenario JSON object.  A file that is not an object, a
-        missing scheme or scenario, an unknown key, a value of the wrong exact
-        type, an unknown scheme, scenario or curve, or update_rounds below 1
-        raise `HarnessError`."""
+        """Read a scenario JSON object with the fields' keys and types (those
+        with a default may be left out).  Any other record, an unknown scheme,
+        scenario or curve, or update_rounds below 1 raise `HarnessError`."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise HarnessError(f"scenario file holds a {type(raw).__name__}, expected an object")
-        for key in ("scheme", "scenario"):
-            if key not in raw:
-                raise HarnessError(f"scenario file has no {key!r}")
-        for key, value in raw.items():
-            if key not in _SPEC_FIELDS:
-                raise HarnessError(f"unknown scenario key {key!r}; expected {sorted(_SPEC_FIELDS)}")
-            if type(value) is not _SPEC_FIELDS[key]:
-                raise HarnessError(f"scenario field {key!r} is {type(value).__name__}, "
-                                   f"expected {_SPEC_FIELDS[key].__name__}")
+            raw = strict_record(fh.read(), get_type_hints(cls), "scenario file",
+                                {f.name for f in fields(cls) if f.default is not MISSING})
         spec = cls(**raw)
         if spec.scheme not in SCHEMES:
             raise HarnessError(f"unknown scheme {spec.scheme!r}")
@@ -120,28 +139,9 @@ class TranscriptEntry:
     secure: bool = False  # sent over the registration secure channel
 
 
-# Key -> exact type of each `to_jsonl` record.  The check is on the exact
-# type because bool is a subclass of int: `secure` must not be 1 and `bits`
-# must not be true.
 _JSONL_HEADER = {"scheme": str, "scenario": str, "curve": str}
 _JSONL_ENTRY = {"i": int, "sender": str, "receiver": str, "kind": str, "phase": str,
                 "secure": bool, "bits": int, "hex": str}
-
-
-def _jsonl_record(line: str, schema: dict[str, type]) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"transcript line is not JSON: {exc}") from exc
-    if not isinstance(rec, dict) or rec.keys() != schema.keys():
-        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
-        raise HarnessError(f"transcript record has keys {found}, expected {sorted(schema)}")
-    for key, typ in schema.items():
-        if type(rec[key]) is not typ:
-            raise HarnessError(
-                f"transcript field {key!r} is {type(rec[key]).__name__}, expected {typ.__name__}"
-            )
-    return rec
 
 
 @dataclass
@@ -153,9 +153,6 @@ class Transcript:
 
     def append(self, entry: TranscriptEntry) -> None:
         self.entries.append(entry)
-
-    def phase_entries(self, phase: str) -> list[TranscriptEntry]:
-        return [e for e in self.entries if e.phase == phase]
 
     def message(self, suite: CryptoSuite, index: int):
         """Re-parse one captured wire payload."""
@@ -198,10 +195,10 @@ class Transcript:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise HarnessError("empty transcript")
-        header = _jsonl_record(lines[0], _JSONL_HEADER)
+        header = strict_record(lines[0], _JSONL_HEADER, "transcript line")
         t = cls(header["scheme"], header["scenario"], header["curve"])
         for i, ln in enumerate(lines[1:]):
-            rec = _jsonl_record(ln, _JSONL_ENTRY)
+            rec = strict_record(ln, _JSONL_ENTRY, "transcript line")
             if rec["i"] != i:
                 raise HarnessError(f"entry index {rec['i']} out of sequence (expected {i})")
             try:
@@ -401,6 +398,15 @@ COUNTING_NOTES = [
 ]
 
 
+_COST_REPORT = {
+    "scheme": str, "scenario": str, "curve": str, "rule": str, "rounds": int,
+    "phase_rounds": {str: int}, "mobile_bits": int, "paper_bits": (int, None),
+    "paper_rounds": (int, None), "bits_delta": (int, None),
+    "message_bits": [{"kind": str, "sender": str, "receiver": str, "bits": int}],
+    "op_counts": {str: {str: int}}, "paper_ops": ({str: {str: int}}, None), "notes": [str],
+}
+
+
 @dataclass
 class CostReport:
     scheme: str
@@ -430,8 +436,9 @@ class CostReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CostReport":
-        data = json.loads(text)
-        data.pop("bits_delta", None)
+        """Parse `to_json` output; any other record raises `HarnessError`."""
+        data = strict_record(text, _COST_REPORT, "cost report")
+        del data["bits_delta"]
         return cls(**data)
 
     def comm_csv(self) -> str:

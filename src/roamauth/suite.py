@@ -205,9 +205,6 @@ class CryptoSuite:
     def encode(self, items: list | tuple) -> bytes:
         return encode_concat(items, self.cp)
 
-    def point_bytes(self, pt: Point) -> bytes:
-        return ec.point_to_bytes(self.cp, pt)
-
     # -- randomness ----------------------------------------------------------
 
     def rand_scalar(self, rng: random.Random) -> int:
@@ -346,18 +343,25 @@ class SuiteConfig:
 
     @classmethod
     def load(cls, path: str | None = None) -> "SuiteConfig":
+        """Read `path`, else $ROAMAUTH_CONFIG, else the defaults; a file that is
+        not an object of strings, an unknown key or value raise `SuiteError`."""
         if path is None:
             path = os.environ.get("ROAMAUTH_CONFIG")
         if path is None:
             return cls()
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        cfg = cls(**{k: raw[k] for k in raw if k in {"curve", "hash", "cipher", "signature"}})
+        if (not isinstance(raw, dict) or not raw.keys() <= cls.__dataclass_fields__.keys()
+                or not all(isinstance(v, str) for v in raw.values())):
+            raise SuiteError(f"config must be an object of strings with keys among "
+                             f"{sorted(cls.__dataclass_fields__)}")
+        cfg = cls(**raw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        ec.get_profile(self.curve)
+        if self.curve not in ec.PROFILES:
+            raise SuiteError(f"unknown curve {self.curve!r}; expected one of {sorted(ec.PROFILES)}")
         if self.hash != HASH_ALG:
             raise SuiteError(f"unsupported hash {self.hash!r} (only {HASH_ALG})")
         if self.cipher != CIPHER_ALG:
