@@ -246,6 +246,15 @@ def cmd_attack(args) -> int:
 REQUIRED_COSTS = (("proposed", "foreign-auth"), ("mun", "foreign-auth"))
 
 
+def load_cost_report(path: Path) -> harness.CostReport:
+    """Read a `handshake` cost report; a malformed record, or one whose scheme
+    and scenario are not those of its file name, raise `HarnessError`."""
+    report = harness.CostReport.from_json(path.read_text(encoding="utf-8"))
+    if path.name != f"{report.scheme}-{report.scenario}-cost.json":
+        raise harness.HarnessError(f"holds the {report.scheme} {report.scenario} report")
+    return report
+
+
 def cmd_report(args) -> int:
     runs = Path(args.runs_dir)
     if not runs.is_dir():
@@ -269,7 +278,7 @@ def cmd_report(args) -> int:
             if not path.exists():
                 missing.append(str(path))
                 continue
-            cost_reports[scheme] = harness.CostReport.from_json(path.read_text(encoding="utf-8"))
+            cost_reports[scheme] = load_cost_report(path)
         for path in sorted(runs.glob("attack-*.json")):
             outcome = attacks.AttackOutcome.from_json(path.read_text(encoding="utf-8"))
             outcomes.setdefault(outcome.attack, {})[outcome.scheme] = outcome

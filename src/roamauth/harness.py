@@ -190,15 +190,27 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """Parse `to_jsonl` output; a line that is not JSON, a missing or extra
-        key, a value of the wrong type, a payload that is not lowercase hex,
-        an index out of sequence or empty text raise `HarnessError`."""
+        key, a value of the wrong type or one `to_binary` cannot write (a name
+        over 65535 UTF-8 bytes, `bits` outside [0, 2**32)), a payload that is
+        not lowercase hex, an index out of sequence or empty text raise
+        `HarnessError`."""
+
+        def record(line: str, schema: dict) -> dict:
+            rec = strict_record(line, schema, "transcript line")
+            for key, value in rec.items():
+                if key != "hex" and type(value) is str and len(value.encode()) > 0xFFFF:
+                    raise HarnessError(f"transcript field {key!r} is over 65535 UTF-8 bytes")
+            if not 0 <= rec.get("bits", 0) < 1 << 32:
+                raise HarnessError(f"transcript field 'bits' is {rec['bits']}, not a uint32")
+            return rec
+
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise HarnessError("empty transcript")
-        header = strict_record(lines[0], _JSONL_HEADER, "transcript line")
+        header = record(lines[0], _JSONL_HEADER)
         t = cls(header["scheme"], header["scenario"], header["curve"])
         for i, ln in enumerate(lines[1:]):
-            rec = strict_record(ln, _JSONL_ENTRY, "transcript line")
+            rec = record(ln, _JSONL_ENTRY)
             if rec["i"] != i:
                 raise HarnessError(f"entry index {rec['i']} out of sequence (expected {i})")
             try:
@@ -292,11 +304,9 @@ class MessageBus:
         self.suite = suite
         self.transcript = transcript
         self.adversary = adversary
-        self.receiver: str | None = None  # receiver of the latest frame
 
     def send(self, sender: str, receiver: str, msg, *, phase: str = "main",
              secure: bool = False):
-        self.receiver = receiver
         raw = wire.serialize(self.suite.cp, msg)
         if self.adversary is not None and not secure:
             raw = self.adversary(sender, receiver, msg.KIND, raw)
@@ -540,6 +550,13 @@ def run_session(
 ) -> SessionResult:
     """Execute one scenario end to end and account for it.
 
+    The scenario's flow yields one `(sender, receiver, fn, args)` hop per step:
+    this loop runs `fn(*args)` under the sender's counter and, if `receiver`
+    is not None, sends the step's message (the result, or its first item) over
+    the bus and hands the flow the result with the delivered message in its
+    place.  A bare string yielded by the flow names the phase of later frames;
+    frames of the "registration" phase go over the secure channel.
+
     The outcome dict always carries "success"; on an abort it carries, instead
     of keys, the reason ("abort"), the exception class ("error") and the
     aborting party ("party": the party whose step raised, else the receiver of
@@ -557,19 +574,10 @@ def run_session(
     transcript = Transcript(scheme, scenario, suite.cp.name)
     bus = MessageBus(suite, transcript, adversary)
     counters = {MU: OpCounts(), FA: OpCounts(), HA: OpCounts()}
-    stepping: str | None = None  # party of the running step; kept if it raises
-
-    def step(party: str, fn, *args):
-        nonlocal stepping
-        stepping = party
-        with counting(counters[party]):
-            result = fn(*args)
-        stepping = None
-        return result
+    party: str | None = None  # sender of the running step, or receiver of the frame in flight
 
     def aborted(reason: str, exc: Exception) -> dict:
-        return {"success": False, "abort": reason, "error": type(exc).__name__,
-                "party": stepping or bus.receiver}
+        return {"success": False, "abort": reason, "error": type(exc).__name__, "party": party}
 
     if world is None:
         # Pre-session setup (CA, agents, victim registration) is attributed
@@ -577,11 +585,27 @@ def run_session(
         with counting(OpCounts()):
             world = (build_proposed_world if scheme == "proposed" else build_mun_world)(suite, rng)
 
+    flow = (_proposed_flow if scheme == "proposed" else _mun_flow)(
+        suite, world, scenario, rng, update_rounds)
+    phase, result = "main", None
     try:
-        if scheme == "proposed":
-            outcome = _run_proposed(suite, world, scenario, rng, bus, step, update_rounds)
-        else:
-            outcome = _run_mun(suite, world, scenario, rng, bus, step, update_rounds)
+        while True:
+            hop = flow.send(result)
+            if type(hop) is str:
+                phase, result = hop, None
+                continue
+            sender, receiver, fn, args = hop
+            party = sender
+            with counting(counters[sender]):
+                result = fn(*args)
+            if receiver is not None:
+                party = receiver
+                pair = type(result) is tuple
+                sent = bus.send(sender, receiver, result[0] if pair else result,
+                                phase=phase, secure=phase == "registration")
+                result = (sent, *result[1:]) if pair else sent
+    except StopIteration as done:
+        outcome = done.value
     except (prop.SchemeError, mun_mod.MunError) as exc:
         outcome = aborted(f"{type(exc).__name__}: {exc}", exc)
     except (EncodingError, CurveError) as exc:
@@ -591,148 +615,107 @@ def run_session(
     return SessionResult(transcript, measure_costs(transcript, counters, rule), outcome)
 
 
-def _run_proposed(suite, world: ProposedWorld, scenario, rng, bus: MessageBus, step,
-                  update_rounds: int) -> dict:
+def _key_outcome(mu_key: prop.SessionKey, peer_key: prop.SessionKey,
+                 peer: str = "fa_key") -> dict:
+    return {"success": mu_key.value == peer_key.value, "mu_key": mu_key.value.hex(),
+            peer: peer_key.value.hex()}
+
+
+def _key_update(suite, rng, update_rounds: int, steps, mu, fa, key):
+    """Refresh rounds after the setup login; `steps` are the scheme's (init,
+    respond, confirm) functions and `key` reads the session key of a state."""
+    init, respond, confirm = steps
+    keys = [(key(mu).value.hex(), key(fa).value.hex())]
+    ok = key(mu).value == key(fa).value
+    for i in range(1, update_rounds + 1):
+        yield f"update-{i}"
+        um1, secret = yield MU, FA, init, (suite, rng)
+        um2, fa = yield FA, MU, respond, (suite, um1, fa, rng)
+        mu = yield MU, None, confirm, (suite, secret, um2, mu)
+        keys.append((key(mu).value.hex(), key(fa).value.hex()))
+        ok = ok and key(mu).value == key(fa).value
+    return {"success": ok, "keys": keys, "epochs": key(mu).epoch}
+
+
+def _proposed_flow(suite, world: ProposedWorld, scenario: str, rng, update_rounds: int):
+    mu = world.mu
     if scenario == "registration":
-        req, salt = step(MU, prop.register_request, suite, world.mu.user_id,
-                         world.mu.password, rng)
-        req_d = bus.send(MU, HA, req, phase="registration", secure=True)
-        card = step(HA, prop.register_issue, suite, world.ha, req_d)
-        issue = prop.CardIssue(card.masked_key, card.login_verifier,
-                               card.home_dh_pub, card.home_id)
-        issue_d = bus.send(HA, MU, issue, phase="registration", secure=True)
-        final = prop.card_finalize(
-            prop.SmartCard(issue_d.masked_key, issue_d.login_verifier,
-                           issue_d.home_dh_pub, issue_d.home_id),
-            salt,
-        )
-        mu = prop.MUState(world.mu.user_id, world.mu.password, final)
-        ok = prop.local_verify(suite, mu)
+        yield "registration"
+        req, salt = yield MU, HA, prop.register_request, (suite, mu.user_id, mu.password, rng)
+        card = yield HA, None, prop.register_issue, (suite, world.ha, req)
+        issue = yield HA, MU, prop.CardIssue, (card.masked_key, card.login_verifier,
+                                               card.home_dh_pub, card.home_id)
+        card = prop.SmartCard(issue.masked_key, issue.login_verifier, issue.home_dh_pub,
+                              issue.home_id)
+        card = yield MU, None, prop.card_finalize, (card, salt)
+        mu = prop.MUState(mu.user_id, mu.password, card)
+        ok = yield MU, None, prop.local_verify, (suite, mu)
         world.mu = mu
         return {"success": ok}
-
-    if scenario == "foreign-auth":
-        mu_key, fa_key = _proposed_foreign_auth(suite, world, rng, bus, step)
-        return {
-            "success": mu_key.value == fa_key.value,
-            "mu_key": mu_key.value.hex(),
-            "fa_key": fa_key.value.hex(),
-        }
-
     if scenario == "home-auth":
-        m1, mu_sess = step(MU, prop.home_login, suite, world.mu, rng)
-        m1_d = bus.send(MU, HA, m1)
-        hm2, ha_key = step(HA, prop.home_ha_respond, suite, world.ha, m1_d, rng)
-        hm2_d = bus.send(HA, MU, hm2)
-        mu_key = step(MU, prop.home_mu_confirm, suite, world.mu, mu_sess, hm2_d)
+        m1, mu_sess = yield MU, HA, prop.home_login, (suite, mu, rng)
+        hm2, ha_key = yield HA, MU, prop.home_ha_respond, (suite, world.ha, m1, rng)
+        mu_key = yield MU, None, prop.home_mu_confirm, (suite, mu, mu_sess, hm2)
         mu_sess.wipe()
-        return {
-            "success": mu_key.value == ha_key.value,
-            "mu_key": mu_key.value.hex(),
-            "ha_key": ha_key.value.hex(),
-        }
-
-    if scenario == "key-update":
-        mu_key, fa_key = _proposed_foreign_auth(suite, world, rng, bus, step, phase="setup")
-        keys = [(mu_key.value.hex(), fa_key.value.hex())]
-        ok = mu_key.value == fa_key.value
-        for i in range(1, update_rounds + 1):
-            phase = f"update-{i}"
-            um1, a_i = step(MU, prop.key_update_init, suite, rng)
-            um1_d = bus.send(MU, FA, um1, phase=phase)
-            um2, fa_key = step(FA, prop.key_update_respond, suite, um1_d, fa_key, rng)
-            um2_d = bus.send(FA, MU, um2, phase=phase)
-            mu_key = step(MU, prop.key_update_confirm, suite, a_i, um2_d, mu_key)
-            keys.append((mu_key.value.hex(), fa_key.value.hex()))
-            ok = ok and mu_key.value == fa_key.value
-        return {"success": ok, "keys": keys, "epochs": mu_key.epoch}
-
+        return _key_outcome(mu_key, ha_key, "ha_key")
     if scenario == "password-change":
         new_password = b"pw-" + suite.rand_bytes(rng, 8).hex().encode()
-        new_card = step(MU, prop.password_change, suite, world.mu, new_password, rng)
-        old_mu = prop.MUState(world.mu.user_id, world.mu.password, new_card)
-        old_rejected = not prop.local_verify(suite, old_mu)
-        world.mu = prop.MUState(world.mu.user_id, new_password, new_card)
-        mu_key, fa_key = _proposed_foreign_auth(suite, world, rng, bus, step)
-        return {
-            "success": old_rejected and mu_key.value == fa_key.value,
-            "old_password_rejected": old_rejected,
-            "mu_key": mu_key.value.hex(),
-            "fa_key": fa_key.value.hex(),
-        }
+        card = yield MU, None, prop.password_change, (suite, mu, new_password, rng)
+        old_rejected = not (yield MU, None, prop.local_verify,
+                            (suite, prop.MUState(mu.user_id, mu.password, card)))
+        world.mu = prop.MUState(mu.user_id, new_password, card)
+        outcome = _key_outcome(*(yield from _proposed_login(suite, world, rng)))
+        return {**outcome, "success": old_rejected and outcome["success"],
+                "old_password_rejected": old_rejected}
+    if scenario == "key-update":
+        yield "setup"
+    mu_key, fa_key = yield from _proposed_login(suite, world, rng)
+    if scenario == "foreign-auth":
+        return _key_outcome(mu_key, fa_key)
+    steps = (prop.key_update_init, prop.key_update_respond, prop.key_update_confirm)
+    return (yield from _key_update(suite, rng, update_rounds, steps, mu_key, fa_key,
+                                   lambda k: k))
 
-    raise HarnessError(f"unhandled scenario {scenario!r}")  # pragma: no cover
 
-
-def _proposed_foreign_auth(suite, world: ProposedWorld, rng, bus: MessageBus, step,
-                           phase: str = "main"):
-    m1, mu_sess = step(MU, prop.login_begin, suite, world.mu, rng)
-    m1_d = bus.send(MU, FA, m1, phase=phase)
-    m2, fa_sess = step(FA, prop.fa_process_login, suite, world.fa, m1_d, rng)
-    m2_d = bus.send(FA, HA, m2, phase=phase)
-    m3 = step(HA, prop.ha_process, suite, world.ha, m2_d, rng)
-    m3_d = bus.send(HA, FA, m3, phase=phase)
-    m4, fa_key = step(FA, prop.fa_finish, suite, world.fa, fa_sess, m3_d)
-    m4_d = bus.send(FA, MU, m4, phase=phase)
-    mu_key = step(MU, prop.mu_finish, suite, world.mu, mu_sess, m4_d)
+def _proposed_login(suite, world: ProposedWorld, rng):
+    m1, mu_sess = yield MU, FA, prop.login_begin, (suite, world.mu, rng)
+    m2, fa_sess = yield FA, HA, prop.fa_process_login, (suite, world.fa, m1, rng)
+    m3 = yield HA, FA, prop.ha_process, (suite, world.ha, m2, rng)
+    m4, fa_key = yield FA, MU, prop.fa_finish, (suite, world.fa, fa_sess, m3)
+    mu_key = yield MU, None, prop.mu_finish, (suite, world.mu, mu_sess, m4)
     mu_sess.wipe()
     fa_sess.wipe()
     return mu_key, fa_key
 
 
-def _run_mun(suite, world: MunWorld, scenario, rng, bus: MessageBus, step,
-             update_rounds: int) -> dict:
+def _mun_flow(suite, world: MunWorld, scenario: str, rng, update_rounds: int):
     if scenario == "registration":
+        yield "registration"
         client_nonce = suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
         user_id = identity_from_label("mu-extra")
-        req = mun_mod.MunRegRequest(user_id, client_nonce)
-        req_d = bus.send(MU, HA, req, phase="registration", secure=True)
-        cred = step(HA, mun_mod.mun_register, suite, world.ha, req_d.user_id,
-                    req_d.client_nonce, rng)
-        reply = mun_mod.MunRegReply(cred.user_alias, cred.password_digest,
-                                    cred.home_nonce, cred.home_id)
-        bus.send(HA, MU, reply, phase="registration", secure=True)
+        req = yield MU, HA, mun_mod.MunRegRequest, (user_id, client_nonce)
+        cred = yield HA, None, mun_mod.mun_register, (suite, world.ha, req.user_id,
+                                                      req.client_nonce, rng)
+        yield HA, MU, mun_mod.MunRegReply, (cred.user_alias, cred.password_digest,
+                                            cred.home_nonce, cred.home_id)
         return {"success": user_id in world.ha.registry}
-
-    if scenario == "foreign-auth":
-        mu_chan, fa_chan = _mun_foreign_auth(suite, world, rng, bus, step)
-        return {
-            "success": mu_chan.key.value == fa_chan.key.value,
-            "mu_key": mu_chan.key.value.hex(),
-            "fa_key": fa_chan.key.value.hex(),
-        }
-
     if scenario == "key-update":
-        mu_chan, fa_chan = _mun_foreign_auth(suite, world, rng, bus, step, phase="setup")
-        keys = [(mu_chan.key.value.hex(), fa_chan.key.value.hex())]
-        ok = mu_chan.key.value == fa_chan.key.value
-        for i in range(1, update_rounds + 1):
-            phase = f"update-{i}"
-            um1, b_i = step(MU, mun_mod.mun_update_init, suite, rng)
-            um1_d = bus.send(MU, FA, um1, phase=phase)
-            um2, fa_chan = step(FA, mun_mod.mun_update_respond, suite, um1_d, fa_chan, rng)
-            um2_d = bus.send(FA, MU, um2, phase=phase)
-            mu_chan = step(MU, mun_mod.mun_update_confirm, suite, b_i, um2_d, mu_chan)
-            keys.append((mu_chan.key.value.hex(), fa_chan.key.value.hex()))
-            ok = ok and mu_chan.key.value == fa_chan.key.value
-        return {"success": ok, "keys": keys, "epochs": mu_chan.key.epoch}
-
-    raise HarnessError(f"unhandled scenario {scenario!r}")  # pragma: no cover
+        yield "setup"
+    mu_chan, fa_chan = yield from _mun_login(suite, world, rng)
+    if scenario == "foreign-auth":
+        return _key_outcome(mu_chan.key, fa_chan.key)
+    steps = (mun_mod.mun_update_init, mun_mod.mun_update_respond, mun_mod.mun_update_confirm)
+    return (yield from _key_update(suite, rng, update_rounds, steps, mu_chan, fa_chan,
+                                   lambda c: c.key))
 
 
-def _mun_foreign_auth(suite, world: MunWorld, rng, bus: MessageBus, step,
-                      phase: str = "main"):
-    m1 = step(MU, mun_mod.mun_login, world.cred)
-    m1_d = bus.send(MU, FA, m1, phase=phase)
-    m2, fa_sess = step(FA, mun_mod.mun_fa_forward, suite, world.fa, m1_d, rng)
-    m2_d = bus.send(FA, HA, m2, phase=phase)
-    m3 = step(HA, mun_mod.mun_ha_auth, suite, world.ha, m2_d)
-    m3_d = bus.send(HA, FA, m3, phase=phase)
-    m4, fa_sess = step(FA, mun_mod.mun_fa_respond, suite, world.fa, m3_d, fa_sess, rng)
-    m4_d = bus.send(FA, MU, m4, phase=phase)
-    m5, mu_chan = step(MU, mun_mod.mun_mu_respond, suite, world.cred, m4_d, rng)
-    m5_d = bus.send(MU, FA, m5, phase=phase)
-    fa_chan = step(FA, mun_mod.mun_fa_verify, suite, m5_d, fa_sess)
+def _mun_login(suite, world: MunWorld, rng):
+    m1 = yield MU, FA, mun_mod.mun_login, (world.cred,)
+    m2, fa_sess = yield FA, HA, mun_mod.mun_fa_forward, (suite, world.fa, m1, rng)
+    m3 = yield HA, FA, mun_mod.mun_ha_auth, (suite, world.ha, m2)
+    m4, fa_sess = yield FA, MU, mun_mod.mun_fa_respond, (suite, world.fa, m3, fa_sess, rng)
+    m5, mu_chan = yield MU, FA, mun_mod.mun_mu_respond, (suite, world.cred, m4, rng)
+    fa_chan = yield FA, None, mun_mod.mun_fa_verify, (suite, m5, fa_sess)
     return mu_chan, fa_chan
 
 

@@ -227,6 +227,21 @@ def test_report_requires_all_artifacts(tmp_path, capsys):
     assert "missing prior run artifacts" in err
 
 
+def test_report_refuses_a_cost_report_under_another_name(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    for scheme in ("proposed", "mun"):
+        assert run("handshake", "--scheme", scheme, "--curve", "toy", "--seed", "9",
+                   "--out", str(runs)) == EXIT_OK
+    mun = (runs / "mun-foreign-auth-cost.json").read_text()
+    (runs / "proposed-foreign-auth-cost.json").write_text(mun)
+    rep = tmp_path / "rep"
+    assert run("report", "--runs-dir", str(runs), "--out", str(rep),
+               "--curve", "toy", "--allow-toy") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad run artifact" in err and "proposed-foreign-auth-cost.json" in err
+    assert not rep.exists()
+
+
 def test_full_report_pipeline(tmp_path):
     runs = tmp_path / "runs"
     # cost artifacts (toy curve keeps this fast; the verdicts used by the

@@ -29,7 +29,7 @@ from roamauth.harness import (
 # determinism
 
 
-@pytest.mark.parametrize("scheme,scenario", [
+SUPPORTED = [
     ("proposed", "foreign-auth"),
     ("proposed", "home-auth"),
     ("proposed", "key-update"),
@@ -38,7 +38,10 @@ from roamauth.harness import (
     ("mun", "foreign-auth"),
     ("mun", "key-update"),
     ("mun", "registration"),
-])
+]
+
+
+@pytest.mark.parametrize("scheme,scenario", SUPPORTED)
 def test_identical_seed_gives_identical_transcript_bytes(toy_suite, scheme, scenario):
     r1 = run_session(toy_suite, scheme, scenario, random.Random(1234), update_rounds=2)
     r2 = run_session(toy_suite, scheme, scenario, random.Random(1234), update_rounds=2)
@@ -199,11 +202,21 @@ def test_mun_op_counts(toy_suite):
         "xor": 3, "hash": 3}
 
 
-def test_instrumentation_complete_during_sessions(toy_suite):
+@pytest.mark.parametrize("scheme,scenario", SUPPORTED)
+def test_instrumentation_complete_during_sessions(toy_suite, scheme, scenario):
     instrument.reset_unattributed()
-    run_session(toy_suite, "proposed", "foreign-auth", random.Random(6))
-    run_session(toy_suite, "mun", "foreign-auth", random.Random(6))
+    res = run_session(toy_suite, scheme, scenario, random.Random(6), update_rounds=2)
+    assert res.outcome["success"]
     assert instrument.unattributed_ops() == 0
+
+
+def test_card_local_checks_are_billed_to_the_user(toy_suite):
+    # registration ends with the card's local check, two hashes; a password
+    # change re-checks the old password on the new card before logging in
+    registration = run_session(toy_suite, "proposed", "registration", random.Random(6))
+    change = run_session(toy_suite, "proposed", "password-change", random.Random(6))
+    assert registration.report.op_counts["MU"]["hash"] == 3
+    assert change.report.op_counts["MU"]["hash"] == 12
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +267,40 @@ def test_adversary_hook_runs_outside_honest_steps(toy_suite, monkeypatch, scheme
     hooks = [honest for name, honest in seen if name.startswith("hook")]
     assert hooks == [False] * (len(names) - 1)  # one frame between consecutive steps
     assert all(honest for name, honest in seen if not name.startswith("hook"))
+
+
+@pytest.mark.parametrize("scheme,scenario", SUPPORTED)
+def test_every_open_frame_reaches_the_hook_outside_honest_steps(toy_suite, scheme, scenario):
+    honest: list[bool] = []
+
+    def hook(sender, receiver, kind, raw):
+        honest.append(harness.in_honest_step())
+        return raw
+
+    res = run_session(toy_suite, scheme, scenario, random.Random(12), adversary=hook,
+                      update_rounds=2)
+    assert res.outcome["success"]
+    assert honest == [False] * sum(not e.secure for e in res.transcript.entries)
+
+
+@pytest.mark.parametrize("scheme,error", [("proposed", "ConfirmMismatch"),
+                                          ("mun", "MunAuthError")])
+def test_tampered_refresh_aborts_its_own_round(toy_suite, scheme, error):
+    refreshes: list[str] = []
+
+    def flip_second_refresh_tag(sender, receiver, kind, raw):
+        if kind.endswith("refresh-response"):
+            refreshes.append(kind)
+            if len(refreshes) == 2:
+                raw = raw[:-1] + bytes([raw[-1] ^ 1])  # the tag is the last field
+        return raw
+
+    res = run_session(toy_suite, scheme, "key-update", random.Random(14),
+                      adversary=flip_second_refresh_tag, update_rounds=3)
+    assert not res.outcome["success"]
+    assert (res.outcome["error"], res.outcome["party"]) == (error, "MU")
+    assert res.transcript.entries[-1].phase == "update-2"
+    assert len(refreshes) == 2
 
 
 def test_honest_step_without_a_counter_is_not_unattributed(toy_suite):

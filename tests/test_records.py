@@ -130,7 +130,7 @@ def _load(path, loader: str) -> bool:
         elif loader == "card":
             cli.load_card(SUITE, path)
         elif loader == "cost":
-            report = CostReport.from_json(path.read_text())
+            report = cli.load_cost_report(path)
             report.comm_csv()
             report.ops_csv()
         elif loader == "outcome":
@@ -244,6 +244,52 @@ def test_probed_cost_report_fields_are_refused(work):
         assert not _check(work, "cost", {**cost, key: value}), key
     assert _check(work, "cost", {**cost, "paper_ops": None, "paper_bits": None,
                                  "bits_delta": None})
+
+
+def _survives_binary(value) -> bool:
+    """Whether `from_jsonl` accepts `value`; if it does, `to_binary` must
+    write the transcript and `from_binary` read the same one back."""
+    try:
+        t = Transcript.from_jsonl(_jsonl(value))
+    except HarnessError:
+        return False
+    assert Transcript.from_binary(t.to_binary()) == t
+    return True
+
+
+@st.composite
+def _edge_edits(draw, lines):
+    """The transcript `lines` with one entry's `bits`, or one name, set near
+    the edge of what the binary format holds (a uint32; 65535 UTF-8 bytes)."""
+    line = draw(st.integers(0, len(lines) - 1))
+    names = [k for k, v in lines[line].items() if type(v) is str and k != "hex"]
+    key = draw(st.sampled_from(names + ["bits"] * (line > 0)))
+    if key == "bits":
+        value = draw(st.integers(-2, 2) | st.integers((1 << 32) - 2, (1 << 32) + 2)
+                     | st.integers())
+    else:
+        char = draw(st.sampled_from("x\u00e9\u20ac\U0001d11e"))  # 1 to 4 UTF-8 bytes
+        value = char * (0xFFFF // len(char.encode()) + draw(st.integers(-2, 2)))
+    edited = [dict(rec) for rec in lines]
+    edited[line][key] = value
+    return edited
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_transcripts_from_jsonl_survive_the_binary_format(work, data):
+    lines = work[2]["transcript"]
+    _survives_binary(data.draw(_inputs(lines) | _edge_edits(lines)))
+
+
+def test_transcript_values_the_binary_format_cannot_hold_are_refused(work):
+    header, first, *rest = work[2]["transcript"]
+    for key, value, ok in (("bits", -1, False), ("bits", 1 << 32, False),
+                           ("bits", 0, True), ("bits", (1 << 32) - 1, True),
+                           ("sender", "x" * 70000, False), ("sender", "x" * 0xFFFF, True),
+                           ("phase", "\u00e9" * 0x8000, False), ("kind", "\u00e9" * 0x7FFF, True)):
+        assert _survives_binary([header, {**first, key: value}, *rest]) == ok, (key, value)
+    assert not _survives_binary([{**header, "curve": "x" * 0x10000}, first, *rest])
 
 
 def test_records_that_are_not_json_are_refused():
