@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, get_type_hints
 
 from . import curve as ec
@@ -50,16 +50,7 @@ class AttackOutcome:
     detail: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "attack": self.attack,
-                "scheme": self.scheme,
-                "succeeded": self.succeeded,
-                "evidence": self.evidence,
-                "detail": self.detail,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AttackOutcome":
@@ -379,8 +370,6 @@ class ProposedAdapter:
         def check(candidate: bytes) -> None:
             # With a stolen card the attacker can compute h(PW' || salt) but
             # has nothing to compare it against; candidates stay open.
-            if view.stolen_card is not None and view.stolen_card.card_salt is not None:
-                self.suite.hash_fields([candidate, view.stolen_card.card_salt])
             return None
 
         return PasswordVerifier(check, missing)
@@ -829,8 +818,7 @@ def attack_insider(
     """Use registration-time knowledge to steal the user's password and, if
     that works, impersonate the user outright."""
     run = adapter.insider_attack(view, dictionary, rng)
-    outcome = _judge_key_evidence("insider", adapter.name, run)
-    return outcome
+    return _judge_key_evidence("insider", adapter.name, run)
 
 
 def link_pair(adapter, raw1: bytes, raw2: bytes) -> bool:

@@ -70,7 +70,6 @@ class CurveParams:
     gx: int
     gy: int
     n: int
-    cofactor: int = 1
 
     @property
     def generator(self) -> Point:
@@ -274,26 +273,21 @@ def point_from_bytes(cp: CurveParams, data: bytes) -> Point:
 
 
 def validate_point(cp: CurveParams, pt: Point) -> Point:
-    """Ingress validation: on curve, not the identity, and of order n.
-
-    For cofactor-1 curves the subgroup check is implied by curve membership,
-    so the extra multiplication only runs when cofactor > 1.
-    """
+    """Ingress validation: on the curve and not the identity.  Both profiles
+    have prime order n, so such a point is of order n."""
     if pt.is_infinity:
         raise CurveError("point at infinity rejected")
     if not is_on_curve(cp, pt):
         raise CurveError("point is not on the curve")
-    if cp.cofactor != 1 and not scalar_mul(cp, cp.n, pt).is_infinity:
-        raise CurveError("point is not in the prime-order subgroup")
     return pt
 
 
-def enumerate_group(cp: CurveParams, limit: int = 1 << 12) -> list[Point]:
+def enumerate_group(cp: CurveParams) -> list[Point]:
     """All multiples of the generator, index k -> k*G (index 0 = identity).
 
-    Only meaningful for small groups; refuses anything above `limit`.
+    Only meaningful for small groups; refuses an order above 2**12.
     """
-    if cp.n > limit:
+    if cp.n > 1 << 12:
         raise CurveError(f"group of order {cp.n} too large to enumerate")
     points = [INFINITY]
     acc = INFINITY
@@ -304,22 +298,19 @@ def enumerate_group(cp: CurveParams, limit: int = 1 << 12) -> list[Point]:
     return points
 
 
-def brute_force_dlog(cp: CurveParams, target: Point, base: Point | None = None,
-                     limit: int = 1 << 20) -> int | None:
-    """Exhaustive discrete log: smallest k with k*base == target, or None.
+def brute_force_dlog(cp: CurveParams, target: Point) -> int | None:
+    """Exhaustive discrete log: smallest k with k*G == target, or None.
 
     This is the toy-profile oracle that stands in for breaking the
-    discrete-log assumption; it refuses to run on large groups.
+    discrete-log assumption; it refuses a group order above 2**20.
     """
-    if cp.n > limit:
+    if cp.n > 1 << 20:
         raise CurveError(f"group of order {cp.n} too large to brute-force")
-    if base is None:
-        base = cp.generator
-    acc = base
+    acc = g = cp.generator
     for k in range(1, cp.n):
         if acc == target:
             return k
-        acc = point_add(cp, acc, base)
+        acc = point_add(cp, acc, g)
     return None
 
 

@@ -129,7 +129,6 @@ def in_honest_step() -> bool:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    index: int
     sender: str
     receiver: str
     kind: str
@@ -151,9 +150,6 @@ class Transcript:
     curve: str
     entries: list[TranscriptEntry] = field(default_factory=list)
 
-    def append(self, entry: TranscriptEntry) -> None:
-        self.entries.append(entry)
-
     def message(self, suite: CryptoSuite, index: int):
         """Re-parse one captured wire payload."""
         return wire.deserialize(suite.cp, self.entries[index].payload)
@@ -170,11 +166,11 @@ class Transcript:
                 }
             )
         ]
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
             lines.append(
                 json.dumps(
                     {
-                        "i": e.index,
+                        "i": i,
                         "sender": e.sender,
                         "receiver": e.receiver,
                         "kind": e.kind,
@@ -219,18 +215,8 @@ class Transcript:
                 payload = None
             if payload is None or payload.hex() != rec["hex"]:
                 raise HarnessError(f"payload of entry {i} is not lowercase hex")
-            t.append(
-                TranscriptEntry(
-                    i,
-                    rec["sender"],
-                    rec["receiver"],
-                    rec["kind"],
-                    payload,
-                    rec["bits"],
-                    rec["phase"],
-                    rec["secure"],
-                )
-            )
+            t.entries.append(TranscriptEntry(rec["sender"], rec["receiver"], rec["kind"],
+                                             payload, rec["bits"], rec["phase"], rec["secure"]))
         return t
 
     def to_binary(self) -> bytes:
@@ -275,15 +261,15 @@ class Transcript:
                 raise HarnessError(f"transcript name is not UTF-8: {exc}") from exc
 
         t = cls(pstr(), pstr(), pstr())
-        for i in range(uint(4)):
+        for _ in range(uint(4)):
             sender, receiver, kind, phase = pstr(), pstr(), pstr(), pstr()
             secure = uint(1)
             if secure > 1:
                 raise HarnessError(f"secure flag {secure} is neither 0 nor 1")
             bits = uint(4)
             payload = take(uint(4))
-            t.append(TranscriptEntry(i, sender, receiver, kind, payload, bits, phase,
-                                     bool(secure)))
+            t.entries.append(TranscriptEntry(sender, receiver, kind, payload, bits, phase,
+                                             bool(secure)))
         if pos != len(data):
             raise HarnessError(f"{len(data) - pos} trailing bytes after the transcript")
         return t
@@ -314,9 +300,8 @@ class MessageBus:
         if type(delivered) is not type(msg):
             # the receiver's step expects the kind that was sent
             raise EncodingError(f"expected {msg.KIND}, got {delivered.KIND}")
-        self.transcript.append(
+        self.transcript.entries.append(
             TranscriptEntry(
-                index=len(self.transcript.entries),
                 sender=sender,
                 receiver=receiver,
                 kind=delivered.KIND,
@@ -546,7 +531,6 @@ def run_session(
     world=None,
     adversary: AdversaryHook | None = None,
     update_rounds: int = 1,
-    rule: str = "nominal",
 ) -> SessionResult:
     """Execute one scenario end to end and account for it.
 
@@ -612,7 +596,7 @@ def run_session(
         # message corrupted in flight to the point of not parsing
         outcome = aborted(f"undeliverable message: {exc}", exc)
 
-    return SessionResult(transcript, measure_costs(transcript, counters, rule), outcome)
+    return SessionResult(transcript, measure_costs(transcript, counters), outcome)
 
 
 def _key_outcome(mu_key: prop.SessionKey, peer_key: prop.SessionKey,
@@ -761,14 +745,17 @@ REPORTED_FEATURES: dict[str, dict[str, str]] = {
 QUOTED_COLUMNS = ("wu", "chang", "he-i", "he-ii", "li-lee")
 MEASURED_COLUMNS = ("proposed", "mun")
 
-ATTACK_ROW_MAP = {
-    "resist-mu-impersonation": "mu-impersonation",
-    "resist-fa-impersonation": "fa-impersonation",
-    "resist-ha-impersonation": "ha-impersonation",
-    "resist-replay": "replay",
-    "forward-secrecy": "forward-secrecy",
-    "resist-offline-guessing": "offline-guess",
-    "resist-insider": "insider",
+# Rows measured by attacks: a row reads "No" when any of its attacks succeeded.
+ROW_ATTACKS = {
+    "anonymity": ("traceability",),
+    "mutual-auth": ("mu-impersonation", "fa-impersonation", "ha-impersonation"),
+    "resist-mu-impersonation": ("mu-impersonation",),
+    "resist-fa-impersonation": ("fa-impersonation",),
+    "resist-ha-impersonation": ("ha-impersonation",),
+    "resist-replay": ("replay",),
+    "forward-secrecy": ("forward-secrecy",),
+    "resist-offline-guessing": ("offline-guess",),
+    "resist-insider": ("insider",),
 }
 
 
@@ -854,18 +841,9 @@ def functionality_matrix(
     for key, label in MATRIX_ROWS:
         measured: dict[str, str] = {}
         for scheme in MEASURED_COLUMNS:
-            if key in ATTACK_ROW_MAP:
-                outcome = attack_outcomes[ATTACK_ROW_MAP[key]][scheme]
-                measured[scheme] = "No" if outcome.succeeded else "Yes"
-            elif key == "anonymity":
-                outcome = attack_outcomes["traceability"][scheme]
-                measured[scheme] = "No" if outcome.succeeded else "Yes"
-            elif key == "mutual-auth":
-                imps = [
-                    attack_outcomes[a][scheme]
-                    for a in ("mu-impersonation", "fa-impersonation", "ha-impersonation")
-                ]
-                measured[scheme] = "No" if any(o.succeeded for o in imps) else "Yes"
+            if key in ROW_ATTACKS:
+                broken = any(attack_outcomes[a][scheme].succeeded for a in ROW_ATTACKS[key])
+                measured[scheme] = "No" if broken else "Yes"
             else:
                 measured[scheme] = "Yes" if feature_results[key][scheme] else "No"
         reported = REPORTED_FEATURES[key]

@@ -36,16 +36,8 @@ class OpCounts:
     mac: int = 0
     vcert: int = 0
 
-    def add(self, other: "OpCounts") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def total(self) -> int:
-        return sum(getattr(self, f.name) for f in fields(self) if f.name != "mul_pre")
 
 
 _active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(

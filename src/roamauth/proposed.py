@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from .curve import CurveError, Point
-from .encoding import EncodingError, decode_concat, field_bytes, field_point
+from .encoding import EncodingError
 from .suite import (
     DIGEST_BYTES,
     AuthenticationError,
@@ -39,7 +39,7 @@ from .suite import (
     Signature,
     SuiteError,
 )
-from .wire import register_message, wire_field
+from .wire import register_message, unpack, wire_field
 
 CARD_SALT_BYTES = 16  # 128-bit card salt
 
@@ -420,13 +420,11 @@ def ha_process(
     sym_key = suite.kdf_point(dh_point)
     try:
         plain = suite.ae_decrypt(sym_key, m2.enc_for_home)
-        fields = decode_concat(plain)
-        user_eph = field_point(fields[0], suite.cp)
-        cert = Certificate.from_bytes(suite.cp, field_bytes(fields[1]))
-        user_tag = field_bytes(fields[2])
-        masked_id = field_bytes(fields[3])
+        user_eph, cert_bytes, user_tag, masked_id = unpack(
+            suite.cp, plain, ("point", "cert", "hash", "identity"), "foreign payload")
+        cert = Certificate.from_bytes(suite.cp, cert_bytes)
         suite.validate_point(user_eph)
-    except (AuthenticationError, EncodingError, SuiteError, CurveError, IndexError) as exc:
+    except (AuthenticationError, EncodingError, SuiteError, CurveError) as exc:
         raise DecryptionFailure(f"foreign payload rejected: {exc}") from exc
 
     if not suite.verify_certificate(ha.ca_pub, cert):
@@ -467,14 +465,10 @@ def fa_finish(
     forward the confirmation tag to the user."""
     try:
         plain = suite.ae_decrypt(session.sym_key, m3.enc_for_foreign)
-        fields = decode_concat(plain)
-        foreign_id = field_bytes(fields[0])
-        cert_ha_bytes = field_bytes(fields[1])
-        user_eph = field_point(fields[2], suite.cp)
-        foreign_eph = field_point(fields[3], suite.cp)
-        confirm_tag = field_bytes(fields[4])
+        foreign_id, cert_ha_bytes, user_eph, foreign_eph, confirm_tag = unpack(
+            suite.cp, plain, ("identity", "cert", "point", "point", "hash"), "home payload")
         cert_ha = Certificate.from_bytes(suite.cp, cert_ha_bytes)
-    except (AuthenticationError, EncodingError, SuiteError, CurveError, IndexError) as exc:
+    except (AuthenticationError, EncodingError, SuiteError, CurveError) as exc:
         raise DecryptionFailure(f"home payload rejected: {exc}") from exc
 
     if foreign_id != fa.foreign_id or user_eph != session.user_eph or foreign_eph != session.foreign_eph:

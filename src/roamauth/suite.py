@@ -36,7 +36,6 @@ from .curve import CurveParams, Point
 from .encoding import encode_concat
 
 DIGEST_BYTES = 20  # 160-bit digests and identities
-SYM_KEY_BYTES = 32
 GCM_NONCE_BYTES = 12
 
 HASH_ALG = "sha256-160"
@@ -196,9 +195,6 @@ class CryptoSuite:
         instrument.record("mul", pre=precomputable)
         return ec.scalar_mul(self.cp, k, pt)
 
-    def point_add(self, p1: Point, p2: Point) -> Point:
-        return ec.point_add(self.cp, p1, p2)
-
     def validate_point(self, pt: Point) -> Point:
         return ec.validate_point(self.cp, pt)
 
@@ -226,10 +222,11 @@ class CryptoSuite:
         instrument.record("kdf")
         return _sha256(b"roamauth-point-key" + ec.point_to_bytes(self.cp, pt))
 
-    def ae_encrypt(self, key: bytes, plaintext: bytes, rng: random.Random | None = None) -> bytes:
-        """Authenticated encryption; ciphertext = nonce || AES-GCM output."""
+    def ae_encrypt(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
+        """Authenticated encryption; ciphertext = nonce || AES-GCM output, the
+        nonce drawn from the caller's seeded `rng`."""
         instrument.record("esym")
-        nonce = rng.randbytes(GCM_NONCE_BYTES) if rng is not None else os.urandom(GCM_NONCE_BYTES)
+        nonce = rng.randbytes(GCM_NONCE_BYTES)
         return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
     def ae_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:

@@ -11,7 +11,8 @@ curve encoding in use.
 
 Decoding is canonical: a frame must name a registered kind, carry exactly
 that kind's field count with the right tags, and fixed-width kinds must
-have exactly their width.  Anything else raises `EncodingError`.
+have exactly their width.  Anything else raises `EncodingError`.  Sealed
+payloads inside messages are decoded with the same checks (`unpack`).
 """
 
 from __future__ import annotations
@@ -94,21 +95,27 @@ def deserialize(cp: CurveParams, data: bytes):
     spec = _BY_ID.get(data[0])
     if spec is None:
         raise EncodingError(f"unknown message kind id {data[0]}")
-    raw = decode_concat(data[1:])
-    if len(raw) != len(spec.kinds):
-        raise EncodingError(f"{spec.cls.KIND}: expected {len(spec.kinds)} fields, got {len(raw)}")
+    return spec.cls(*unpack(cp, data[1:], spec.kinds, spec.cls.KIND))
+
+
+def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> list:
+    """Decode the field list `data` as exactly `kinds`: "point" is an on-curve
+    point, other kinds are bytes of their FIXED_BYTES width, if any.  Anything
+    else raises `EncodingError` naming `what`."""
+    raw = decode_concat(data)
+    if len(raw) != len(kinds):
+        raise EncodingError(f"{what}: expected {len(kinds)} fields, got {len(raw)}")
     values = []
-    for kind, item in zip(spec.kinds, raw):
+    for kind, item in zip(kinds, raw):
         if kind == "point":
             try:
                 values.append(field_point(item, cp))
             except CurveError as exc:
-                raise EncodingError(f"{spec.cls.KIND}: {exc}") from exc
+                raise EncodingError(f"{what}: {exc}") from exc
             continue
         value = field_bytes(item)
         width = FIXED_BYTES.get(kind)
         if width is not None and len(value) != width:
-            raise EncodingError(f"{spec.cls.KIND}: {kind} field of {len(value)} bytes, "
-                                f"expected {width}")
+            raise EncodingError(f"{what}: {kind} field of {len(value)} bytes, expected {width}")
         values.append(value)
-    return spec.cls(*values)
+    return values

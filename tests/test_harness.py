@@ -496,14 +496,30 @@ def test_functionality_matrix_values(toy_suite):
     assert by_key["no-verification-table"]["measured"]["mun"] == "No"
 
 
-def test_matrix_flags_any_disagreement_instead_of_hiding_it(toy_suite):
+# The matrix rows each attack measures: its own row, plus mutual-auth for
+# the three impersonations.
+ATTACK_ROWS = {
+    "mu-impersonation": ("resist-mu-impersonation", "mutual-auth"),
+    "fa-impersonation": ("resist-fa-impersonation", "mutual-auth"),
+    "ha-impersonation": ("resist-ha-impersonation", "mutual-auth"),
+    "offline-guess": ("resist-offline-guessing",),
+    "insider": ("resist-insider",),
+    "traceability": ("anonymity",),
+    "replay": ("resist-replay",),
+    "forward-secrecy": ("forward-secrecy",),
+}
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACK_ROWS))
+def test_matrix_flags_any_disagreement_instead_of_hiding_it(toy_suite, attack):
     feats = measure_features(toy_suite, random.Random(13))
     pattern = copy.deepcopy(EXPECTED_ATTACK_PATTERN)
-    pattern["replay"]["proposed"] = True  # pretend the replay broke the scheme
+    pattern[attack]["proposed"] = True  # pretend the attack broke the scheme
     matrix = functionality_matrix(_fake_outcomes(pattern), feats)
     by_key = {row["key"]: row for row in matrix.rows}
-    assert by_key["resist-replay"]["measured"]["proposed"] == "No"
-    assert by_key["resist-replay"]["flag"] is not None
+    for key in ATTACK_ROWS[attack]:
+        assert by_key[key]["measured"]["proposed"] == "No"
+        assert by_key[key]["flag"] is not None
 
 
 def test_matrix_marks_quoted_columns(toy_suite):

@@ -251,6 +251,87 @@ def test_fa_rejects_session_mismatch(toy_suite, world, rng):
         prop.fa_finish(toy_suite, world.fa, sess_b, m3a)
 
 
+# Field-list edits to a sealed payload, applied to its raw (tag, payload)
+# fields, which encode to the same bytes as the values they hold.
+SEALED_EDITS = {
+    "wrong-width": lambda raw: raw[:-1] + [(raw[-1][0], raw[-1][1][:-1])],
+    "extra-field": lambda raw: raw + [raw[-1]],
+    "missing-field": lambda raw: raw[:-1],
+}
+
+
+def _reseal(suite, key, plain, edit, signer, signed, rng):
+    """Edit the field list of `plain`, then encrypt it under `key` and sign the
+    fields at positions `signed` with `signer`, as a certified agent would."""
+    from roamauth.encoding import decode_concat
+
+    raw = edit(decode_concat(plain))
+    sig = suite.sign_over(signer, [raw[i] for i in signed if i < len(raw)])
+    return suite.ae_encrypt(key, suite.encode(raw), rng), sig.to_bytes(suite.cp)
+
+
+@pytest.mark.parametrize("edit", sorted(SEALED_EDITS))
+def test_ha_rejects_noncanonical_sealed_payload(toy_suite, world, rng, edit):
+    # White-box: re-sealed under the wrap key kdf(c * B) and signed with the
+    # certified foreign agent's key, so only the field list is wrong.
+    from roamauth.curve import scalar_mul
+
+    m1, _ = prop.login_begin(toy_suite, world.mu, rng)
+    m2, _ = prop.fa_process_login(toy_suite, world.fa, m1, rng)
+    key = toy_suite.kdf_point(scalar_mul(toy_suite.cp, world.ha.dh.priv, m2.foreign_eph))
+    enc, sig = _reseal(toy_suite, key, toy_suite.ae_decrypt(key, m2.enc_for_home),
+                       SEALED_EDITS[edit], world.fa.signer.priv, (0, 2, 3), rng)
+    with pytest.raises(prop.DecryptionFailure):
+        prop.ha_process(toy_suite, world.ha,
+                        dataclasses.replace(m2, enc_for_home=enc, foreign_sig=sig), rng)
+
+
+@pytest.mark.parametrize("edit", sorted(SEALED_EDITS))
+def test_fa_rejects_noncanonical_sealed_payload(toy_suite, world, rng, edit):
+    # White-box: re-sealed under the session's wrap key and signed with the
+    # home agent's key, so only the field list is wrong.
+    m1, _ = prop.login_begin(toy_suite, world.mu, rng)
+    m2, fa_sess = prop.fa_process_login(toy_suite, world.fa, m1, rng)
+    m3 = prop.ha_process(toy_suite, world.ha, m2, rng)
+    plain = toy_suite.ae_decrypt(fa_sess.sym_key, m3.enc_for_foreign)
+    enc, sig = _reseal(toy_suite, fa_sess.sym_key, plain, SEALED_EDITS[edit],
+                       world.ha.signer.priv, (1, 4), rng)
+    with pytest.raises(prop.DecryptionFailure):
+        prop.fa_finish(toy_suite, world.fa, fa_sess,
+                       dataclasses.replace(m3, enc_for_foreign=enc, home_sig=sig))
+
+
+def test_short_masked_id_from_a_broken_agent_key_aborts_the_session(toy_suite, world):
+    # On the toy curve the adversary recovers the foreign agent's signing key
+    # from its public certificate, then replaces the challenge with one that
+    # carries a 19-byte masked identity.  The home agent must abort, not crash.
+    from roamauth import wire
+    from roamauth.curve import brute_force_dlog, scalar_mul
+
+    cp, forge_rng = toy_suite.cp, random.Random(31)
+    fa_priv = brute_force_dlog(cp, world.fa.cert.public_key)
+    seen = {}
+
+    def hook(sender, receiver, kind, raw):
+        if kind == prop.LoginRequest.KIND:
+            seen["m1"] = wire.deserialize(cp, raw)
+        if kind != prop.ForeignChallenge.KIND:
+            return raw
+        m1 = seen["m1"]
+        b = toy_suite.rand_scalar(forge_rng)
+        key = toy_suite.kdf_point(scalar_mul(cp, b, m1.home_dh_pub))
+        fields = [m1.user_eph, world.fa.cert.to_bytes(cp), m1.user_tag, m1.masked_id[:-1]]
+        enc = toy_suite.ae_encrypt(key, toy_suite.encode(fields), forge_rng)
+        sig = toy_suite.sign_over(fa_priv, [fields[0], *fields[2:]])
+        forged = prop.ForeignChallenge(scalar_mul(cp, b, cp.generator), enc, sig.to_bytes(cp))
+        return wire.serialize(cp, forged)
+
+    res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(30), world=world,
+                      adversary=hook)
+    assert not res.outcome["success"]
+    assert (res.outcome["error"], res.outcome["party"]) == ("DecryptionFailure", "HA")
+
+
 @pytest.mark.parametrize("field", ["foreign_eph", "foreign_id", "confirm_tag"])
 def test_login_accept_binding(p256_suite, field):
     # Mutating any accept field must break the user's confirmation check.
