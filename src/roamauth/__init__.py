@@ -8,7 +8,7 @@ comparison tables.
 """
 
 from .curve import TOY, P256, CurveParams, Point, get_profile
-from .suite import CryptoSuite, SuiteConfig, identity_from_label
+from .suite import CryptoSuite, identity_from_label
 
 __all__ = [
     "TOY",
@@ -17,7 +17,6 @@ __all__ = [
     "Point",
     "get_profile",
     "CryptoSuite",
-    "SuiteConfig",
     "identity_from_label",
 ]
 

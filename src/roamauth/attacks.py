@@ -903,11 +903,11 @@ def run_attack(
         return fn(adapter, view, rng)
     if name == "offline-guess":
         view = surveil(adapter, rng, steal_card=True)
-        words = dictionary or default_dictionary(adapter, rng)
+        words = default_dictionary(adapter, rng) if dictionary is None else dictionary
         return attack_offline_guessing(adapter, view, words, rng)
     if name == "insider":
         view = surveil(adapter, rng, sessions=0, insider=True)
-        words = dictionary or default_dictionary(adapter, rng)
+        words = default_dictionary(adapter, rng) if dictionary is None else dictionary
         return attack_insider(adapter, view, words, rng)
     if name == "forward-secrecy":
         view = _forward_secrecy_view(adapter, rng, cdl=cdl)

@@ -10,9 +10,11 @@ Four subcommands:
 * report    - assemble the communication/computation/functionality tables
               from prior run artifacts
 
-Every command is deterministic under --seed.  Security assertions (--expect
-failure, and the functionality matrix) are refused on the toy curve unless
---allow-toy is set, because its discrete logs are breakable by design.
+Every command is deterministic under --seed, and the command line alone fixes
+a run (the curve is --curve, default p256, or the scenario file's).  Security
+assertions (--expect failure, and the functionality matrix) are refused on the
+toy curve unless --allow-toy is set, because its discrete logs are breakable
+by design.
 """
 
 from __future__ import annotations
@@ -26,23 +28,11 @@ from pathlib import Path
 from . import attacks, harness
 from . import curve as ec
 from . import proposed as prop
-from .suite import DIGEST_BYTES, CryptoSuite, SuiteConfig, SuiteError, identity_from_label
+from .suite import DIGEST_BYTES, CryptoSuite, identity_from_label
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-
-def _suite_for(curve_name: str | None) -> CryptoSuite:
-    try:
-        cfg = SuiteConfig.load()
-    except (SuiteError, OSError, ValueError) as exc:  # ValueError: not JSON
-        print(f"error: bad ROAMAUTH_CONFIG: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
-    if curve_name:
-        cfg = SuiteConfig(curve=curve_name, hash=cfg.hash, cipher=cfg.cipher,
-                          signature=cfg.signature)
-    return cfg.build()
 
 
 def _is_toy(suite: CryptoSuite) -> bool:
@@ -58,7 +48,7 @@ def cmd_register(args) -> int:
     if out.exists() and not args.force:
         print(f"error: {out} exists (use --force to overwrite)", file=sys.stderr)
         return EXIT_USAGE
-    suite = _suite_for(args.curve)
+    suite = CryptoSuite(ec.get_profile(args.curve))
     rng = random.Random(args.seed)
     world = harness.build_proposed_world(
         suite, rng, user_label=args.id, password=args.password.encode()
@@ -130,7 +120,7 @@ def cmd_handshake(args) -> int:
         args.seed = spec.seed
         args.curve = spec.curve
         args.update_rounds = spec.update_rounds
-    suite = _suite_for(args.curve)
+    suite = CryptoSuite(ec.get_profile(args.curve))
     rng = random.Random(args.seed)
 
     world = None
@@ -161,12 +151,10 @@ def cmd_handshake(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{args.scheme}-{args.scenario}"
-    if args.format in ("json", "both"):
-        (out_dir / f"{stem}-transcript.jsonl").write_text(result.transcript.to_jsonl())
-        (out_dir / f"{stem}-cost.json").write_text(result.report.to_json())
-    if args.format in ("csv", "both"):
-        (out_dir / f"{stem}-comm.csv").write_text(result.report.comm_csv())
-        (out_dir / f"{stem}-ops.csv").write_text(result.report.ops_csv())
+    (out_dir / f"{stem}-transcript.jsonl").write_text(result.transcript.to_jsonl())
+    (out_dir / f"{stem}-cost.json").write_text(result.report.to_json())
+    (out_dir / f"{stem}-comm.csv").write_text(result.report.comm_csv())
+    (out_dir / f"{stem}-ops.csv").write_text(result.report.ops_csv())
     (out_dir / f"{stem}-transcript.bin").write_bytes(result.transcript.to_binary())
 
     if result.outcome.get("success"):
@@ -205,7 +193,7 @@ def cmd_attack(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    suite = _suite_for(args.curve)
+    suite = CryptoSuite(ec.get_profile(args.curve))
     if _is_toy(suite) and args.expect == "failure" and not args.allow_toy:
         print(
             "error: refusing a security assertion on the toy curve - its "
@@ -219,6 +207,9 @@ def cmd_attack(args) -> int:
         dictionary = load_dictionary(Path(args.dict)) if args.dict else None
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read dictionary: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if dictionary == []:
+        print(f"error: dictionary {args.dict} holds no candidates", file=sys.stderr)
         return EXIT_USAGE
 
     rng = random.Random(args.seed)
@@ -262,7 +253,7 @@ def cmd_report(args) -> int:
               f"handshake` and `roamauth attack` first", file=sys.stderr)
         return EXIT_USAGE
 
-    suite = _suite_for(args.curve)
+    suite = CryptoSuite(ec.get_profile(args.curve))
     if _is_toy(suite) and not args.allow_toy:
         print("error: the functionality matrix asserts attack failures, which "
               "are meaningless on the toy curve (pass --allow-toy to override)",
@@ -302,18 +293,14 @@ def cmd_report(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format in ("csv", "both"):
-        comm = "\n".join(cost_reports[s].comm_csv() for s in ("proposed", "mun"))
-        ops = "\n".join(cost_reports[s].ops_csv() for s in ("proposed", "mun"))
-        (out_dir / "table3_communication.csv").write_text(comm)
-        (out_dir / "table4_operations.csv").write_text(ops)
-        (out_dir / "table5_functionality.csv").write_text(matrix.to_csv())
-    if args.format in ("json", "both"):
-        (out_dir / "table5_functionality.json").write_text(matrix.to_json())
-        summary = {
-            s: json.loads(cost_reports[s].to_json()) for s in cost_reports
-        }
-        (out_dir / "cost_summary.json").write_text(json.dumps(summary, indent=2))
+    comm = "\n".join(cost_reports[s].comm_csv() for s in ("proposed", "mun"))
+    ops = "\n".join(cost_reports[s].ops_csv() for s in ("proposed", "mun"))
+    (out_dir / "table3_communication.csv").write_text(comm)
+    (out_dir / "table4_operations.csv").write_text(ops)
+    (out_dir / "table5_functionality.csv").write_text(matrix.to_csv())
+    (out_dir / "table5_functionality.json").write_text(matrix.to_json())
+    summary = {s: json.loads(cost_reports[s].to_json()) for s in cost_reports}
+    (out_dir / "cost_summary.json").write_text(json.dumps(summary, indent=2))
 
     for scheme, rep in cost_reports.items():
         print(f"{scheme}: rounds={rep.rounds} (paper {rep.paper_rounds}), "
@@ -347,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, curve_default=None):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0, help="deterministic run seed")
-        sp.add_argument("--curve", choices=sorted(ec.PROFILES),
-                        default=curve_default, help="curve profile")
+        sp.add_argument("--curve", choices=sorted(ec.PROFILES), default="p256",
+                        help="curve profile")
 
     sp = sub.add_parser("register", help="register a user and write a card file")
     common(sp)
@@ -371,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--update-rounds", type=_at_least_one, default=1)
     sp.add_argument("--tamper", help="message kind to flip one byte of in flight")
     sp.add_argument("--out", default="runs", help="output directory")
-    sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
     sp.set_defaults(fn=cmd_handshake)
 
     sp = sub.add_parser("attack", help="run one adversary strategy")
@@ -393,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--runs-dir", default="runs", help="directory with prior artifacts")
     sp.add_argument("--out", default="report", help="output directory")
-    sp.add_argument("--format", choices=("json", "csv", "both"), default="both")
     sp.add_argument("--allow-toy", action="store_true")
     sp.set_defaults(fn=cmd_report)
 
@@ -402,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # every read is checked where it happens; this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

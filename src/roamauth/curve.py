@@ -344,7 +344,6 @@ _TOY_LOG = {pt: k for k, pt in enumerate(_TOY_EXP) if k}
 
 PROFILES: dict[str, CurveParams] = {
     "toy": TOY,
-    "production": P256,
     "p256": P256,
 }
 

@@ -12,7 +12,6 @@ from .curve import CurveParams, Point, point_from_bytes, point_to_bytes
 
 TAG_BYTES = 0x01
 TAG_POINT = 0x02
-TAG_INT = 0x03
 
 Field = tuple[int, bytes]
 
@@ -35,9 +34,6 @@ def encode_field(item: object, cp: CurveParams | None = None) -> bytes:
         return _frame(TAG_POINT, point_to_bytes(cp, item))
     if isinstance(item, (bytes, bytearray)):
         return _frame(TAG_BYTES, bytes(item))
-    if isinstance(item, int):
-        width = max(1, (item.bit_length() + 7) // 8)
-        return _frame(TAG_INT, item.to_bytes(width, "big"))
     raise EncodingError(f"cannot encode field of type {type(item).__name__}")
 
 
@@ -75,10 +71,3 @@ def field_point(field: Field, cp: CurveParams) -> Point:
     if tag != TAG_POINT:
         raise EncodingError(f"expected point field, got tag {tag}")
     return point_from_bytes(cp, payload)
-
-
-def field_int(field: Field) -> int:
-    tag, payload = field
-    if tag != TAG_INT:
-        raise EncodingError(f"expected integer field, got tag {tag}")
-    return int.from_bytes(payload, "big")

@@ -1,7 +1,7 @@
 """Cryptographic primitives shared by both authentication schemes.
 
-Concrete algorithm choices are declared here (and in the config file), not
-hard-wired into the protocol logic:
+Concrete algorithm choices are declared here, not hard-wired into the
+protocol logic:
 
 * hash: SHA-256 truncated to 160 bits,
 * symmetric encryption: AES-256-GCM (authenticated),
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
-import os
 import random
 from dataclasses import dataclass
 
@@ -37,10 +35,6 @@ from .encoding import encode_concat
 
 DIGEST_BYTES = 20  # 160-bit digests and identities
 GCM_NONCE_BYTES = 12
-
-HASH_ALG = "sha256-160"
-CIPHER_ALG = "aes-256-gcm"
-SIG_ALG = "ecdsa-rfc6979"
 
 
 class SuiteError(Exception):
@@ -328,44 +322,3 @@ def identity_from_label(label: str) -> bytes:
     """Map a human-readable label to the fixed 160-bit identity width."""
     return _sha256(b"roamauth-id" + label.encode("utf-8"))[:DIGEST_BYTES]
 
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Declared algorithm selection, loadable from a JSON config file."""
-
-    curve: str = "p256"
-    hash: str = HASH_ALG
-    cipher: str = CIPHER_ALG
-    signature: str = SIG_ALG
-
-    @classmethod
-    def load(cls, path: str | None = None) -> "SuiteConfig":
-        """Read `path`, else $ROAMAUTH_CONFIG, else the defaults; a file that is
-        not an object of strings, an unknown key or value raise `SuiteError`."""
-        if path is None:
-            path = os.environ.get("ROAMAUTH_CONFIG")
-        if path is None:
-            return cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if (not isinstance(raw, dict) or not raw.keys() <= cls.__dataclass_fields__.keys()
-                or not all(isinstance(v, str) for v in raw.values())):
-            raise SuiteError(f"config must be an object of strings with keys among "
-                             f"{sorted(cls.__dataclass_fields__)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.curve not in ec.PROFILES:
-            raise SuiteError(f"unknown curve {self.curve!r}; expected one of {sorted(ec.PROFILES)}")
-        if self.hash != HASH_ALG:
-            raise SuiteError(f"unsupported hash {self.hash!r} (only {HASH_ALG})")
-        if self.cipher != CIPHER_ALG:
-            raise SuiteError(f"unsupported cipher {self.cipher!r} (only {CIPHER_ALG})")
-        if self.signature != SIG_ALG:
-            raise SuiteError(f"unsupported signature {self.signature!r} (only {SIG_ALG})")
-
-    def build(self) -> CryptoSuite:
-        self.validate()
-        return CryptoSuite(ec.get_profile(self.curve))

@@ -164,6 +164,13 @@ def test_mun_offline_guess_fails_without_true_password(toy_suite, rng):
     assert outcome.evidence["confirmable_candidates"] == 0
 
 
+def test_empty_dictionary_is_not_replaced_by_the_default(toy_suite, rng):
+    adapter = make_adapter("mun", toy_suite, rng)
+    outcome = run_attack("offline-guess", adapter, rng, dictionary=[])
+    assert not outcome.succeeded
+    assert outcome.evidence["dictionary_size"] == 0
+
+
 def test_proposed_offline_guess_blocked_even_with_card(toy_suite, rng):
     adapter = make_adapter("proposed", toy_suite, rng)
     view = surveil(adapter, rng, steal_card=True)

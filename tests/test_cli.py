@@ -30,12 +30,10 @@ def test_register_refuses_overwrite_without_force(card, tmp_path):
                "--seed", "3", "--curve", "toy", "--out", str(card), "--force") == EXIT_OK
 
 
-def test_card_file_roundtrips(card):
+def test_card_file_roundtrips(card, toy_suite):
     from roamauth.cli import load_card
-    from roamauth.suite import SuiteConfig
 
-    suite = SuiteConfig(curve="toy").build()
-    loaded, label, seed = load_card(suite, card)
+    loaded, label, seed = load_card(toy_suite, card)
     assert label == "alice"
     assert seed == 3
     assert len(loaded.masked_key) == 20
@@ -54,6 +52,24 @@ def test_handshake_with_card_succeeds(card, tmp_path):
     assert (out / "proposed-foreign-auth-transcript.jsonl").exists()
     assert (out / "proposed-foreign-auth-cost.json").exists()
     assert (out / "proposed-foreign-auth-comm.csv").exists()
+
+
+def test_handshake_writes_every_file(tmp_path):
+    out = tmp_path / "runs"
+    assert run("handshake", "--scheme", "mun", "--curve", "toy", "--out", str(out)) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"mun-foreign-auth-{suffix}"
+        for suffix in ("comm.csv", "cost.json", "ops.csv", "transcript.bin", "transcript.jsonl")
+    ]
+
+
+def test_curve_comes_from_the_command_line_only(tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"curve": "toy"}))
+    monkeypatch.setenv("ROAMAUTH_CONFIG", str(config))
+    out = tmp_path / "runs"
+    assert run("handshake", "--out", str(out)) == EXIT_OK
+    assert json.loads((out / "proposed-foreign-auth-cost.json").read_text())["curve"] == "p256"
 
 
 def test_handshake_with_wrong_password_aborts_locally(card, tmp_path):
@@ -178,6 +194,17 @@ def test_attack_with_dictionary_file(tmp_path, toy_suite):
                "--dict", str(dict_path)) == EXIT_OK
 
 
+def test_attack_empty_dictionary_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n")
+    out = tmp_path / "o.json"
+    assert run("attack", "--attack", "offline-guess", "--scheme", "mun", "--curve", "toy",
+               "--dict", str(empty), "--expect", "failure", "--allow-toy",
+               "--out", str(out)) == EXIT_USAGE
+    assert "holds no candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_attack_trials_below_one_is_usage_error(trials):
     with pytest.raises(SystemExit) as exc:
@@ -242,7 +269,7 @@ def test_report_refuses_a_cost_report_under_another_name(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_full_report_pipeline(tmp_path):
+def test_full_report_pipeline(tmp_path, toy_suite):
     runs = tmp_path / "runs"
     # cost artifacts (toy curve keeps this fast; the verdicts used by the
     # matrix come from the attack outcome files, which we produce with the
@@ -253,11 +280,9 @@ def test_full_report_pipeline(tmp_path):
                "--seed", "9", "--out", str(runs)) == EXIT_OK
     # attack outcome artifacts
     from roamauth import attacks as atk
-    from roamauth.suite import SuiteConfig
     import random
 
-    suite = SuiteConfig(curve="toy").build()
-    results = atk.run_attack_matrix(suite, random.Random(11), trials=40)
+    results = atk.run_attack_matrix(toy_suite, random.Random(11), trials=40)
     for name, per in results.items():
         for scheme, outcome in per.items():
             (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
@@ -276,3 +301,37 @@ def test_full_report_pipeline(tmp_path):
     by_key = {r["key"]: r for r in matrix["rows"]}
     assert all(r["measured"]["proposed"] == "Yes" for r in matrix["rows"])
     assert by_key["no-verification-table"]["flag"] is not None
+    assert sorted(p.name for p in rep.iterdir()) == [
+        "cost_summary.json", "table3_communication.csv", "table4_operations.csv",
+        "table5_functionality.csv", "table5_functionality.json",
+    ]
+
+
+@pytest.mark.parametrize("command", ["register", "handshake", "attack", "report"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, toy_suite, command):
+    import random
+
+    from roamauth import attacks as atk
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    runs = tmp_path / "runs"
+    if command == "report":
+        for scheme in ("proposed", "mun"):
+            assert run("handshake", "--scheme", scheme, "--curve", "toy",
+                       "--out", str(runs)) == EXIT_OK
+        for name, per in atk.run_attack_matrix(toy_suite, random.Random(1), trials=1).items():
+            for scheme, outcome in per.items():
+                (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
+    argv = {
+        "register": ["register", "--id", "a", "--password", "x", "--curve", "toy",
+                     "--out", str(tmp_path), "--force"],
+        "handshake": ["handshake", "--curve", "toy", "--out", str(afile)],
+        "attack": ["attack", "--attack", "replay", "--scheme", "proposed", "--curve", "toy",
+                   "--expect", "success", "--out", str(afile / "x.json")],
+        "report": ["report", "--runs-dir", str(runs), "--curve", "toy", "--allow-toy",
+                   "--out", str(afile)],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_USAGE
+    assert "error: cannot write output" in capsys.readouterr().err

@@ -1,12 +1,12 @@
 """Every JSON file roamauth reads goes through one strict record check.
 
 The property tests feed each loader - scenario file, JSON-lines transcript,
-card file, cost report, attack outcome and `SuiteConfig.load` - two kinds of
-input: arbitrary JSON values, and a valid record from a seeded toy run with
-one value, at any depth, replaced by arbitrary JSON.  Each input loads (and a
-loaded cost report still renders both tables), or raises `HarnessError` or
-`SuiteError`; nothing else escapes.  The CLI commands that read these files
-exit 2 when their loader refuses the file.
+card file, cost report and attack outcome - two kinds of input: arbitrary
+JSON values, and a valid record from a seeded toy run with one value, at any
+depth, replaced by arbitrary JSON.  Each input loads (and a loaded cost
+report still renders both tables), or raises `HarnessError`; nothing else
+escapes.  The CLI commands that read these files exit 2 when their loader
+refuses the file.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from roamauth import attacks, cli
 from roamauth.curve import TOY
 from roamauth.harness import CostReport, HarnessError, ScenarioSpec, Transcript, run_session
-from roamauth.suite import CIPHER_ALG, HASH_ALG, SIG_ALG, CryptoSuite, SuiteConfig, SuiteError
+from roamauth.suite import CryptoSuite
 
 SUITE = CryptoSuite(TOY)
 
@@ -105,8 +105,6 @@ def work(tmp_path_factory):
         "card": json.loads(card.read_text()),
         "cost": json.loads((runs / "proposed-foreign-auth-cost.json").read_text()),
         "outcome": json.loads((runs / "attack-replay-proposed.json").read_text()),
-        "config": {"curve": "toy", "hash": HASH_ALG, "cipher": CIPHER_ALG,
-                   "signature": SIG_ALG},
     }
     return root, runs, records
 
@@ -133,11 +131,9 @@ def _load(path, loader: str) -> bool:
             report = cli.load_cost_report(path)
             report.comm_csv()
             report.ops_csv()
-        elif loader == "outcome":
-            attacks.AttackOutcome.from_json(path.read_text())
         else:
-            SuiteConfig.load(str(path))
-    except (HarnessError, SuiteError):
+            attacks.AttackOutcome.from_json(path.read_text())
+    except HarnessError:
         return False
     return True
 
@@ -181,7 +177,7 @@ def _check(work, loader: str, value) -> bool:
     return loaded
 
 
-LOADERS = ("scenario", "transcript", "card", "cost", "outcome", "config")
+LOADERS = ("scenario", "transcript", "card", "cost", "outcome")
 
 
 def test_valid_records_load(work):
@@ -297,29 +293,3 @@ def test_records_that_are_not_json_are_refused():
         with pytest.raises(HarnessError, match="not JSON"):
             CostReport.from_json(text)
 
-
-@pytest.mark.parametrize("config", [
-    ["curve"], {"curve": ["toy"]}, {"curv": "toy"}, {"curve": "p384"}, {"hash": "md5"},
-    "not json", None,
-])
-def test_bad_config_is_refused_by_every_command(work, monkeypatch, config):
-    root, runs, _ = work
-    path = root / "cfg.json"
-    if config is None:
-        path = root / "missing-cfg.json"
-    elif config == "not json":
-        path.write_text("{")
-    else:
-        path.write_text(json.dumps(config))
-        with pytest.raises(SuiteError):
-            SuiteConfig.load(str(path))
-    monkeypatch.setenv("ROAMAUTH_CONFIG", str(path))
-    for argv in (
-        ["register", "--id", "a", "--password", "x", "--curve", "toy", "--out", root / "new.card"],
-        ["handshake", "--curve", "toy", "--out", root / "hs"],
-        ["attack", "--attack", "replay", "--scheme", "proposed", "--curve", "toy",
-         "--expect", "success"],
-        ["report", "--runs-dir", runs, "--out", root / "rep", "--curve", "toy", "--allow-toy"],
-    ):
-        code, err = _quiet(argv)
-        assert code == cli.EXIT_USAGE and "ROAMAUTH_CONFIG" in err, (argv, err)

@@ -1,8 +1,7 @@
 """Primitive-layer contracts: hashing, masking, key derivation, AEAD,
-signatures, certificates, and configuration."""
+signatures and certificates."""
 
 import hashlib
-import json
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from roamauth.suite import (
     CryptoSuite,
     Signature,
     SignatureFormatError,
-    SuiteConfig,
     SuiteError,
     identity_from_label,
 )
@@ -296,36 +294,6 @@ def test_each_public_op_bills_exactly_one_counter(toy_suite, rng):
         "xor": 1, "hash": 1, "mul": 1, "mul_pre": 1, "esym": 1, "dsym": 1,
         "gsign": 0, "vsign": 0, "kdf": 1, "mac": 1, "vcert": 0,
     }
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def test_config_defaults_build():
-    suite = SuiteConfig().build()
-    assert suite.cp.name == "p256"
-
-
-def test_config_from_file(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"curve": "toy"}))
-    cfg = SuiteConfig.load(str(path))
-    assert cfg.build().cp.name == "toy-751"
-
-
-def test_config_from_env(tmp_path, monkeypatch):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"curve": "toy"}))
-    monkeypatch.setenv("ROAMAUTH_CONFIG", str(path))
-    assert SuiteConfig.load().curve == "toy"
-
-
-def test_config_rejects_unknown_algorithms():
-    with pytest.raises(SuiteError):
-        SuiteConfig(hash="md5").validate()
-    with pytest.raises(Exception):
-        SuiteConfig(curve="nope").validate()
 
 
 def test_identity_width():
