@@ -98,13 +98,16 @@ def load_card(suite: CryptoSuite, path: Path) -> tuple[prop.SmartCard, str, int]
 
 
 def _tamper_hook(kind: str):
+    """Flip the last byte of every open `kind` frame; `hook.flipped` counts them."""
     def hook(sender, receiver, msg_kind, raw: bytes) -> bytes:
         if msg_kind == kind:
+            hook.flipped += 1
             body = bytearray(raw)
             body[-1] ^= 0x01
             return bytes(body)
         return raw
 
+    hook.flipped = 0
     return hook
 
 
@@ -146,6 +149,10 @@ def cmd_handshake(args) -> int:
         )
     except harness.UnsupportedScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if adversary is not None and not adversary.flipped:
+        # a misspelt kind, one the scenario never sends, or a secure-channel one
+        print(f"error: no open {args.tamper} frame to tamper with", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(args.out)
@@ -356,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--card", help="card file from `register` (proposed scheme)")
     sp.add_argument("--password", help="password for --card logins")
     sp.add_argument("--update-rounds", type=_at_least_one, default=1)
-    sp.add_argument("--tamper", help="message kind to flip one byte of in flight")
+    sp.add_argument("--tamper", help="open message kind to flip one byte of in flight "
+                    "(exit 2 if the run sends no such frame)")
     sp.add_argument("--out", default="runs", help="output directory")
     sp.set_defaults(fn=cmd_handshake)
 

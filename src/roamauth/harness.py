@@ -1,10 +1,11 @@
 """Session driver, transcript capture, and cost accounting.
 
 Parties exchange immutable messages over an in-memory bus; every delivery
-is serialized to wire bytes, optionally run past an adversary hook, recorded
-in the transcript, and re-parsed on the receiving side.  Operation counters
-are bound per party around each protocol step, so the per-party cost tables
-come from instrumented primitive calls rather than hand bookkeeping.
+is serialized to wire bytes, optionally run past an adversary hook, re-parsed
+with its group elements validated, and recorded in the transcript.
+Operation counters are bound per party around each protocol step, so the
+per-party cost tables come from instrumented primitive calls rather than
+hand bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, get_type_hints
 from . import mun as mun_mod
 from . import proposed as prop
 from . import wire
-from .curve import PROFILES, CurveError
+from .curve import PROFILES, CurveError, Point
 from .encoding import EncodingError
 from .instrument import OpCounts, active_counter, counting
 from .suite import CryptoSuite, KeyPair, identity_from_label
@@ -282,7 +283,9 @@ class MessageBus:
     """Serializing in-memory channel with transcript capture.
 
     Deliveries go through wire bytes and back, so a session exercises the
-    full codec; an adversary hook may rewrite the bytes in flight.
+    full codec; an adversary hook may rewrite the bytes in flight.  Every
+    group element of a delivered frame is validated here, before the frame is
+    recorded, so no protocol step rechecks one (`CurveError` on failure).
     """
 
     def __init__(self, suite: CryptoSuite, transcript: Transcript,
@@ -300,6 +303,9 @@ class MessageBus:
         if type(delivered) is not type(msg):
             # the receiver's step expects the kind that was sent
             raise EncodingError(f"expected {msg.KIND}, got {delivered.KIND}")
+        for value in vars(delivered).values():
+            if type(value) is Point:
+                self.suite.validate_point(value)
         self.transcript.entries.append(
             TranscriptEntry(
                 sender=sender,
@@ -466,23 +472,9 @@ class CostReport:
         return buf.getvalue()
 
 
-def measure_costs(
-    transcript: Transcript,
-    op_counts: dict[str, OpCounts],
-    rule: str = "nominal",
-) -> CostReport:
-    """Aggregate a transcript plus instrumented counters into a report.
-
-    `rule` selects the bit accounting: "nominal" uses the declared per-field
-    widths, "wire" uses the actual serialized length.  The round count does
-    not depend on the rule.
-    """
-    if rule not in ("nominal", "wire"):
-        raise HarnessError(f"unknown accounting rule {rule!r}")
-
-    def bits_of(e: TranscriptEntry) -> int:
-        return e.bits if rule == "nominal" else 8 * len(e.payload)
-
+def measure_costs(transcript: Transcript, op_counts: dict[str, OpCounts]) -> CostReport:
+    """Aggregate a transcript plus instrumented counters into a report; bits
+    are the nominal per-field widths (`wire.PARAM_BITS`)."""
     open_entries = [e for e in transcript.entries if not e.secure]
     mobile = [e for e in open_entries if MU in (e.sender, e.receiver)]
     phase_rounds: dict[str, int] = {}
@@ -495,14 +487,14 @@ def measure_costs(
         scheme=transcript.scheme,
         scenario=transcript.scenario,
         curve=transcript.curve,
-        rule=rule,
+        rule="nominal",
         rounds=len(transcript.entries),
         phase_rounds=phase_rounds,
-        mobile_bits=sum(bits_of(e) for e in mobile),
+        mobile_bits=sum(e.bits for e in mobile),
         paper_bits=paper["bits"] if paper else None,
         paper_rounds=paper["rounds"] if paper else None,
         message_bits=[
-            {"kind": e.kind, "sender": e.sender, "receiver": e.receiver, "bits": bits_of(e)}
+            {"kind": e.kind, "sender": e.sender, "receiver": e.receiver, "bits": e.bits}
             for e in open_entries
         ],
         op_counts={party: c.as_dict() for party, c in op_counts.items()},

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .curve import CurveError, Point
+from .curve import Point
 from .proposed import SessionKey
 from .suite import CryptoSuite
 from .wire import NONCE_BYTES, register_message, wire_field
@@ -30,10 +30,6 @@ from .wire import NONCE_BYTES, register_message, wire_field
 
 class MunError(Exception):
     """Base class for aborts in the mun scheme."""
-
-
-class MunValidationError(MunError):
-    """Malformed field or invalid group point."""
 
 
 class MunUnknownUser(MunError):
@@ -212,15 +208,6 @@ def mun_register(
 # authentication and key establishment
 
 
-def _ingress(suite: CryptoSuite, *points: Point) -> None:
-    """Validate every group element of an incoming message."""
-    try:
-        for pt in points:
-            suite.validate_point(pt)
-    except CurveError as exc:
-        raise MunValidationError(str(exc)) from exc
-
-
 def mun_login(cred: MunCredentials) -> MunLogin:
     """First flight; nothing fresh in it, which is exactly the traceability
     problem demonstrated by the attack suite."""
@@ -290,7 +277,6 @@ def mun_mu_respond(
 ) -> tuple[MunClientFinish, MunChannel]:
     """User recomputes both tags from its own password, then completes the
     key exchange."""
-    _ingress(suite, m4.foreign_eph)
     home_tag = suite.xor160(
         suite.xor160(
             suite.hash_fields([m4.bundle_foreign_id, m4.bundle_foreign_nonce]),
@@ -312,7 +298,6 @@ def mun_mu_respond(
 def mun_fa_verify(
     suite: CryptoSuite, m5: MunClientFinish, session: MunFASession
 ) -> MunChannel:
-    _ingress(suite, m5.client_eph)
     if session.eph_priv is None:
         raise MunError("foreign session has no ephemeral key")
     shared = suite.scalar_mul(session.eph_priv, m5.client_eph)
@@ -335,7 +320,6 @@ def mun_update_init(suite: CryptoSuite, rng: random.Random) -> tuple[MunRefreshR
 def mun_update_respond(
     suite: CryptoSuite, m: MunRefreshRequest, prev: MunChannel, rng: random.Random
 ) -> tuple[MunRefreshResponse, MunChannel]:
-    _ingress(suite, m.client_eph)
     a_i = suite.rand_scalar(rng)
     responder_eph = suite.scalar_mul(a_i, suite.cp.generator, precomputable=True)
     shared = suite.scalar_mul(a_i, m.client_eph)
@@ -347,7 +331,6 @@ def mun_update_respond(
 def mun_update_confirm(
     suite: CryptoSuite, b_i: int, m: MunRefreshResponse, prev: MunChannel
 ) -> MunChannel:
-    _ingress(suite, m.responder_eph)
     shared = suite.scalar_mul(b_i, m.responder_eph)
     key = SessionKey(suite.hash_fields([shared]), prev.key.epoch + 1)
     expected = suite.mac160(key.value, suite.encode([shared, prev.shared_point]))

@@ -18,7 +18,8 @@ Three parties: a mobile user (MU) holding a smart card, the foreign agent
 
 Every step is a pure function of (party state, message, rng) and either
 returns the next message or raises a scheme error; nothing is transmitted
-after a failed check.
+after a failed check.  A step gets a message whose field widths the wire
+decoder and whose group elements the bus have already checked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .suite import (
     CryptoSuite,
     KeyPair,
     Signature,
-    SuiteError,
 )
 from .wire import register_message, unpack, wire_field
 
@@ -49,7 +49,9 @@ class SchemeError(Exception):
 
 
 class ValidationError(SchemeError):
-    """Malformed field or invalid group point in an incoming message."""
+    """An argument check failed: identity width, empty password or card salt
+    width.  Received frames are checked before a step runs (`harness.MessageBus`
+    validates group elements, `wire.unpack` field widths)."""
 
 
 class LocalVerificationError(SchemeError):
@@ -334,15 +336,6 @@ def card_finalize(card: SmartCard, card_salt: bytes) -> SmartCard:
 # foreign-network login
 
 
-def _ingress(suite: CryptoSuite, *points: Point) -> None:
-    """Validate every group element of an incoming message."""
-    try:
-        for pt in points:
-            suite.validate_point(pt)
-    except CurveError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _card_check(suite: CryptoSuite, mu: MUState,
                 rejected: str = "identity/password check failed") -> bytes:
     """Card-local check of identity and password; returns h(PW || salt) or
@@ -386,8 +379,6 @@ def fa_process_login(
     suite: CryptoSuite, fa: FAKeyMaterial, m1: LoginRequest, rng: random.Random
 ) -> tuple[ForeignChallenge, ForeignSession]:
     """Login flight 2 (foreign agent): wrap the request for the home agent and sign it."""
-    _ingress(suite, m1.user_eph, m1.home_dh_pub)
-
     b = suite.rand_scalar(rng)
     foreign_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
     dh_point = suite.scalar_mul(b, m1.home_dh_pub)
@@ -414,8 +405,6 @@ def ha_process(
     """Login flight 3 (home agent): authenticate the foreign agent (certificate
     plus signature) and the user (unmask the identity, recompute the user
     tag), then answer."""
-    _ingress(suite, m2.foreign_eph)
-
     dh_point = suite.scalar_mul(ha.dh.priv, m2.foreign_eph)
     sym_key = suite.kdf_point(dh_point)
     try:
@@ -424,15 +413,12 @@ def ha_process(
             suite.cp, plain, ("point", "cert", "hash", "identity"), "foreign payload")
         cert = Certificate.from_bytes(suite.cp, cert_bytes)
         suite.validate_point(user_eph)
-    except (AuthenticationError, EncodingError, SuiteError, CurveError) as exc:
+    except (AuthenticationError, EncodingError, CurveError) as exc:
         raise DecryptionFailure(f"foreign payload rejected: {exc}") from exc
 
     if not suite.verify_certificate(ha.ca_pub, cert):
         raise CertificateInvalid("foreign agent certificate does not verify")
-    try:
-        foreign_sig = Signature.from_bytes(suite.cp, m2.foreign_sig)
-    except SuiteError as exc:
-        raise SignatureInvalid(str(exc)) from exc
+    foreign_sig = Signature.from_bytes(suite.cp, m2.foreign_sig)
     if not suite.verify_over(cert.public_key, [user_eph, user_tag, masked_id], foreign_sig):
         raise SignatureInvalid("foreign agent signature does not verify")
 
@@ -468,17 +454,14 @@ def fa_finish(
         foreign_id, cert_ha_bytes, user_eph, foreign_eph, confirm_tag = unpack(
             suite.cp, plain, ("identity", "cert", "point", "point", "hash"), "home payload")
         cert_ha = Certificate.from_bytes(suite.cp, cert_ha_bytes)
-    except (AuthenticationError, EncodingError, SuiteError, CurveError) as exc:
+    except (AuthenticationError, EncodingError) as exc:
         raise DecryptionFailure(f"home payload rejected: {exc}") from exc
 
     if foreign_id != fa.foreign_id or user_eph != session.user_eph or foreign_eph != session.foreign_eph:
         raise SessionMismatch("echoed session values do not match this session")
     if cert_ha.subject_id != session.home_id or not suite.verify_certificate(fa.ca_pub, cert_ha):
         raise CertificateInvalid("home agent certificate rejected")
-    try:
-        home_sig = Signature.from_bytes(suite.cp, m3.home_sig)
-    except SuiteError as exc:
-        raise SignatureInvalid(str(exc)) from exc
+    home_sig = Signature.from_bytes(suite.cp, m3.home_sig)
     if not suite.verify_over(cert_ha.public_key, [cert_ha_bytes, confirm_tag], home_sig):
         raise SignatureInvalid("home agent signature does not verify")
 
@@ -493,7 +476,6 @@ def mu_finish(
 ) -> SessionKey:
     """Login completion (user): one tag check authenticates both agents, then
     derive the key."""
-    _ingress(suite, m4.foreign_eph)
     expected = suite.hash_fields(
         [session.id_key, session.user_eph, m4.foreign_eph, m4.foreign_id, mu.card.home_id]
     )
@@ -518,7 +500,6 @@ def key_update_respond(
 ) -> tuple[RefreshResponse, SessionKey]:
     """Responder half of a refresh round: new ECDH share plus a tag that
     proves knowledge of the previous key."""
-    _ingress(suite, m.user_eph)
     b_i = suite.rand_scalar(rng)
     responder_eph = suite.scalar_mul(b_i, suite.cp.generator, precomputable=True)
     shared = suite.scalar_mul(b_i, m.user_eph)
@@ -532,7 +513,6 @@ def key_update_confirm(
 ) -> SessionKey:
     """Initiator half: accept the new key only if the tag binds the previous
     one; on mismatch the previous key stays in force."""
-    _ingress(suite, m.responder_eph)
     shared = suite.scalar_mul(a_i, m.responder_eph)
     expected = suite.hash_fields([shared, prev.value])
     if not hmac.compare_digest(expected, m.confirm_tag):
@@ -575,7 +555,6 @@ def home_ha_respond(
     suite: CryptoSuite, ha: HAKeyMaterial, m1: LoginRequest, rng: random.Random
 ) -> tuple[HomeAccept, SessionKey]:
     """Home agent authenticates the user directly and answers in one flight."""
-    _ingress(suite, m1.user_eph, m1.home_dh_pub)
     if m1.home_id != ha.home_id:
         raise SessionMismatch("login request is addressed to another home agent")
 
@@ -599,7 +578,6 @@ def home_ha_respond(
 def home_mu_confirm(
     suite: CryptoSuite, mu: MUState, session: UserSession, hm2: HomeAccept
 ) -> SessionKey:
-    _ingress(suite, hm2.home_eph)
     if hm2.home_id != mu.card.home_id:
         raise SessionMismatch("home accept names another home agent")
     expected = suite.hash_fields(

@@ -87,16 +87,11 @@ class Certificate:
 
     @classmethod
     def from_bytes(cls, cp: CurveParams, data: bytes) -> "Certificate":
-        from .encoding import decode_concat, field_bytes, field_point
+        """Decode with the wire field check; raises `EncodingError`."""
+        from .wire import unpack
 
-        fields = decode_concat(data)
-        if len(fields) != 3:
-            raise SignatureFormatError("certificate must have three fields")
-        return cls(
-            subject_id=field_bytes(fields[0]),
-            public_key=field_point(fields[1], cp),
-            signature=Signature.from_bytes(cp, field_bytes(fields[2])),
-        )
+        subject_id, public_key, sig = unpack(cp, data, ("identity", "point", "sig"), "certificate")
+        return cls(subject_id, public_key, Signature.from_bytes(cp, sig))
 
 
 # OpenSSL's prehashed ECDSA takes a digest only as long as a named hash; a

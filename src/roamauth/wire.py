@@ -36,8 +36,9 @@ PARAM_BITS: dict[str, int] = {
     "sig": 1024,
 }
 
-# Exact payload widths in bytes.  Points are checked by the curve decoder;
-# "sym" and "sig" are the only variable-width kinds.
+# Exact payload widths in bytes.  Points are checked by the curve decoder, a
+# "sig" is two scalars of the curve (2 * scalar_bytes) and "sym" is the only
+# variable-width kind.
 FIXED_BYTES: dict[str, int] = {"identity": DIGEST_BYTES, "hash": DIGEST_BYTES, "nonce": NONCE_BYTES}
 
 
@@ -100,8 +101,9 @@ def deserialize(cp: CurveParams, data: bytes):
 
 def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> list:
     """Decode the field list `data` as exactly `kinds`: "point" is an on-curve
-    point, other kinds are bytes of their FIXED_BYTES width, if any.  Anything
-    else raises `EncodingError` naming `what`."""
+    point, "sig" is `2 * cp.scalar_bytes` bytes, other kinds are bytes of their
+    FIXED_BYTES width, if any.  Anything else raises `EncodingError` naming
+    `what`."""
     raw = decode_concat(data)
     if len(raw) != len(kinds):
         raise EncodingError(f"{what}: expected {len(kinds)} fields, got {len(raw)}")
@@ -114,7 +116,7 @@ def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> l
                 raise EncodingError(f"{what}: {exc}") from exc
             continue
         value = field_bytes(item)
-        width = FIXED_BYTES.get(kind)
+        width = 2 * cp.scalar_bytes if kind == "sig" else FIXED_BYTES.get(kind)
         if width is not None and len(value) != width:
             raise EncodingError(f"{what}: {kind} field of {len(value)} bytes, expected {width}")
         values.append(value)

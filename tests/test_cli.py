@@ -94,6 +94,19 @@ def test_handshake_tamper_flag_gives_nonzero_exit(tmp_path):
                "--tamper", "login-accept", "--out", str(tmp_path / "r")) == EXIT_MISMATCH
 
 
+@pytest.mark.parametrize("scheme,scenario,kind", [
+    ("proposed", "foreign-auth", "login-acept"),   # misspelt
+    ("proposed", "foreign-auth", "mun-login"),     # never sent by this run
+    ("proposed", "registration", "reg-request"),   # secure channel, not on the open bus
+])
+def test_handshake_tamper_without_a_frame_is_usage_error(tmp_path, capsys, scheme, scenario, kind):
+    out = tmp_path / "r"
+    assert run("handshake", "--scheme", scheme, "--scenario", scenario, "--curve", "toy",
+               "--seed", "5", "--tamper", kind, "--out", str(out)) == EXIT_USAGE
+    assert f"no open {kind} frame to tamper with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_handshake_unsupported_scenario(tmp_path):
     assert run("handshake", "--scheme", "mun", "--scenario", "home-auth",
                "--curve", "toy", "--seed", "5", "--out", str(tmp_path / "r")) == EXIT_USAGE

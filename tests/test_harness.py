@@ -23,6 +23,7 @@ from roamauth.harness import (
     measure_features,
     run_session,
 )
+from roamauth.suite import CryptoSuite
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +144,19 @@ def test_mun_bit_accounting(toy_suite):
     assert res.report.paper_bits == 4192
 
 
-def test_accounting_rule_changes_totals_not_rounds(toy_suite):
-    res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(3))
-    counters = {p: instrument.OpCounts() for p in ("MU", "FA", "HA")}
-    wire_report = measure_costs(res.transcript, counters, rule="wire")
-    assert wire_report.rounds == res.report.rounds == 4
-    assert wire_report.mobile_bits != res.report.mobile_bits
-    with pytest.raises(harness.HarnessError):
-        measure_costs(res.transcript, counters, rule="imaginary")
+@pytest.mark.parametrize("scheme,scenario,calls", [
+    ("proposed", "foreign-auth", 5),  # two login-request points, B, A in the sealed payload, B
+    ("proposed", "registration", 1),  # C of the card-issue frame on the secure channel
+    ("mun", "foreign-auth", 2),
+])
+def test_each_received_group_element_is_validated_once(toy_suite, monkeypatch,
+                                                       scheme, scenario, calls):
+    seen = []
+    validate = CryptoSuite.validate_point
+    monkeypatch.setattr(CryptoSuite, "validate_point",
+                        lambda self, pt: seen.append(pt) or validate(self, pt))
+    assert run_session(toy_suite, scheme, scenario, random.Random(6)).outcome["success"]
+    assert len(seen) == calls
 
 
 def test_report_total_equals_sum_of_message_bits(toy_suite):

@@ -172,13 +172,21 @@ def test_foreign_signature_verifies(toy_suite, world, rng):
     )
 
 
-def test_off_curve_point_rejected_by_fa(toy_suite, world, rng):
-    from roamauth.curve import Point
+def test_short_certificate_subject_in_the_payload_is_a_decryption_failure(
+        toy_suite, world, rng):
+    # White-box: re-seal the foreign payload with a 19-byte certificate subject.
+    from roamauth.curve import scalar_mul
 
     m1, _ = prop.login_begin(toy_suite, world.mu, rng)
-    bad = dataclasses.replace(m1, home_dh_pub=Point(2, 3))
-    with pytest.raises(prop.ValidationError):
-        prop.fa_process_login(toy_suite, world.fa, bad, rng)
+    m2, _ = prop.fa_process_login(toy_suite, world.fa, m1, rng)
+    cert = world.fa.cert
+    short = toy_suite.encode([cert.subject_id[:19], cert.public_key,
+                              cert.signature.to_bytes(toy_suite.cp)])
+    key = toy_suite.kdf_point(scalar_mul(toy_suite.cp, world.ha.dh.priv, m2.foreign_eph))
+    sealed = toy_suite.ae_encrypt(
+        key, toy_suite.encode([m1.user_eph, short, m1.user_tag, m1.masked_id]), rng)
+    with pytest.raises(prop.DecryptionFailure, match="certificate: identity field of 19"):
+        prop.ha_process(toy_suite, world.ha, dataclasses.replace(m2, enc_for_home=sealed), rng)
 
 
 def test_ha_rejects_forged_signature(toy_suite, world, rng):

@@ -266,6 +266,18 @@ def test_certificate_bytes_roundtrip(p256_suite, rng):
     assert Certificate.from_bytes(P256, cert.to_bytes(P256)) == cert
 
 
+def test_certificate_subject_must_be_an_identity(p256_suite, rng):
+    ca = p256_suite.keygen(rng)
+    cert = p256_suite.issue_certificate(ca, identity_from_label("fa"), ca.pub)
+    from roamauth.encoding import EncodingError
+    from roamauth.suite import Certificate
+
+    short = p256_suite.encode([cert.subject_id[:19], cert.public_key,
+                               cert.signature.to_bytes(P256)])
+    with pytest.raises(EncodingError, match="identity field of 19 bytes, expected 20"):
+        Certificate.from_bytes(P256, short)
+
+
 # ---------------------------------------------------------------------------
 # instrumentation behaviour of the public API
 

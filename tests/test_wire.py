@@ -39,6 +39,8 @@ KIND_IDS = {
     mun_mod.MunRefreshResponse: 18,
 }
 
+SPECS = {spec.cls.KIND: spec for spec in wire._BY_ID.values()}
+
 SUPPORTED = [
     ("proposed", "registration"), ("proposed", "foreign-auth"), ("proposed", "home-auth"),
     ("proposed", "key-update"), ("proposed", "password-change"),
@@ -199,12 +201,16 @@ def test_truncated_and_extended_frames_abort(scheme, scenario, kind):
     ("proposed", "login-request", 3),   # user tag
     ("mun", "mun-login", 2),            # alias
     ("mun", "mun-home-reply", 1),       # password tag
+    ("proposed", "foreign-challenge", 2),  # foreign agent signature
+    ("proposed", "home-answer", 1),        # home agent signature
 ])
 def test_wrong_width_fields_abort(scheme, kind, index):
-    for width in (0, 19, 21):
+    expected = 2 * TOY.scalar_bytes if SPECS[kind].kinds[index] == "sig" else 20
+    for width in (0, expected - 1, expected + 1):
         outcome = _attack_once(scheme, "foreign-auth", kind,
                                lambda raw: _replace_field(raw, index, bytes(width)))
-        assert "bytes, expected 20" in outcome["abort"], outcome
+        assert f"bytes, expected {expected}" in outcome["abort"], outcome
+        assert outcome["error"] == "EncodingError", outcome
 
 
 @pytest.mark.parametrize("kind,index", [("login-request", 4), ("home-accept", 2)])
@@ -220,6 +226,29 @@ def test_relabelled_kind_of_the_same_shape_aborts():
                            lambda raw: bytes([KIND_IDS[mun_mod.MunForward]]) + raw[1:])
     assert outcome["abort"] == "undeliverable message: expected mun-login, got mun-forward"
     assert (outcome["error"], outcome["party"]) == ("EncodingError", "FA")
+
+
+def _open_point_fields() -> list[tuple]:
+    """(scheme, scenario, kind, field index, receiver) for every point field of
+    every open frame kind an attackable scenario sends."""
+    cases = {}
+    for scheme, scenario in ATTACKABLE:
+        for e in honest_entries(scheme, scenario):
+            for index, kind in enumerate(SPECS[e.kind].kinds):
+                if kind == "point" and not e.secure:
+                    cases.setdefault((scheme, scenario, e.kind, index), e.receiver)
+    return [(*case, receiver) for case, receiver in cases.items()]
+
+
+@pytest.mark.parametrize("scheme,scenario,kind,index,receiver", _open_point_fields())
+def test_identity_point_is_refused_at_the_bus(scheme, scenario, kind, index, receiver):
+    def adversary(sender, to, msg_kind, raw):
+        return _replace_field(raw, index, b"\x00") if msg_kind == kind else raw
+
+    res = run_session(SUITE, scheme, scenario, random.Random(8), adversary=adversary)
+    assert res.outcome["abort"] == "undeliverable message: point at infinity rejected"
+    assert (res.outcome["error"], res.outcome["party"]) == ("CurveError", receiver)
+    assert kind not in [e.kind for e in res.transcript.entries]
 
 
 def test_deserialize_rejects_an_off_curve_point_as_encoding_error():
