@@ -9,9 +9,12 @@ a success only with sound evidence - for key-establishment goals that means
 the adversary's key is byte-equal to the key an honest party actually
 derived in the same run.
 
-Honest parties' steps are invoked under the harness honest-step marker so a
-confinement audit can verify the adversary code itself never touches party
-secrets beyond the granted view.
+Honest parties run in `harness.run_session`, and the adversary plays roles
+in it (`play=`): a played party's steps are the strategy's moves, and its
+frames cross the same bus as honest ones, so they are decoded, validated and
+recorded.  The few honest steps no session can drive run under the harness
+honest-step marker.  Either way a confinement audit can verify the adversary
+code itself never touches party secrets beyond the granted view.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from . import proposed as prop
 from . import wire
 from .curve import Point, brute_force_dlog
 from .harness import (
+    FA,
+    HA,
+    MU,
     MunWorld,
     ProposedWorld,
     Transcript,
@@ -113,6 +119,22 @@ class PasswordVerifier:
 
     check: Callable[[bytes], bool | None]
     missing: tuple[str, ...] = ()
+
+
+def _played(adapter, rng: random.Random, roles: dict, detail: str,
+            extra: dict | None = None) -> AttackRun:
+    """One foreign-auth session in the adapter's world with `roles` played by
+    the adversary.  The adversary's key is the played MU's, or else the
+    played FA's; the other end's key is the honest party's, unless that end
+    is played too."""
+    out = run_session(adapter.suite, adapter.name, "foreign-auth", rng,
+                      world=adapter.world, play=roles).outcome
+    if "abort" in out:
+        return AttackRun(None, None, False, f"{out['party']} aborted the session: {out['abort']}",
+                         {"error": out["error"]})
+    key = {p: bytes.fromhex(out[k]) if out[k] else None for p, k in ((MU, "mu_key"), (FA, "fa_key"))}
+    mine, peer = (MU, FA) if MU in roles else (FA, MU)
+    return AttackRun(key[mine], None if peer in roles else key[peer], True, detail, extra or {})
 
 
 def _find_raw(view: AdversaryView, kind: str) -> bytes | None:
@@ -203,90 +225,77 @@ class ProposedAdapter:
 
     # -- impersonation ------------------------------------------------------------
 
-    def _serve_replayed_login(self, raw_m1: bytes, rng: random.Random):
-        """Drive honest FA and HA with a replayed login request, then try to
-        derive the user-side key from adversary knowledge alone."""
-        suite = self.suite
-        m1 = wire.deserialize(suite.cp, raw_m1)
-        try:
-            with honest_step():
-                m2, fa_sess = prop.fa_process_login(suite, self.world.fa, m1, rng)
-                m3 = prop.ha_process(suite, self.world.ha, m2, rng)
-                m4, fa_key = prop.fa_finish(suite, self.world.fa, fa_sess, m3)
-        except prop.SchemeError as exc:
-            return AttackRun(None, None, False, f"agents rejected the replay: {exc}"), m1, None
-        run = AttackRun(
-            adversary_key=None,
-            honest_key=fa_key.value,
-            completed=True,
-            detail=(
-                "agents accepted the replayed request and issued a login accept; "
-                "the session key requires the original login ephemeral"
-            ),
-            extra={"login_accept": wire.serialize(suite.cp, m4).hex()},
-        )
-        return run, m1, m4
-
     def impersonate_user(self, view: AdversaryView, rng: random.Random) -> AttackRun:
+        """Play the user with a replayed login request.  The agents serve it,
+        but the session key needs the original login ephemeral, which only a
+        discrete-log oracle recovers."""
         raw = _find_raw(view, self.login_kind)
         if raw is None:
             return AttackRun(None, None, False, "view holds no prior login request")
-        run, m1, m4 = self._serve_replayed_login(raw, rng)
-        if not run.completed:
-            return run
-        if view.cdl_oracle is not None:
-            a = view.cdl_oracle(m1.user_eph)
-            if a is not None:
-                shared = ec.scalar_mul(self.suite.cp, a, m4.foreign_eph)
-                run.adversary_key = self.suite.hash_fields([shared])
-                run.detail = (
-                    "small-group discrete log recovered the login ephemeral; "
-                    "session key derived from the replayed request"
-                )
-                run.extra["recovered_ephemeral"] = a
+        suite, cp = self.suite, self.suite.cp
+        m1 = wire.deserialize(cp, raw)
+        extra: dict = {}
+
+        def user(fn, args):
+            if fn is prop.login_begin:
+                return m1, None
+            m4 = args[3]
+            extra["login_accept"] = wire.serialize(cp, m4).hex()
+            a = view.cdl_oracle(m1.user_eph) if view.cdl_oracle is not None else None
+            if a is None:
+                return None
+            extra["recovered_ephemeral"] = a
+            return prop.SessionKey(suite.hash_fields([ec.scalar_mul(cp, a, m4.foreign_eph)]))
+
+        run = _played(self, rng, {MU: user}, (
+            "agents accepted the replayed request and issued a login accept; "
+            "the session key requires the original login ephemeral"), extra)
+        if run.adversary_key is not None:
+            run.detail = ("small-group discrete log recovered the login ephemeral; "
+                          "session key derived from the replayed request")
         return run
 
     def impersonate_foreign(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        """Pose as the foreign agent toward a fresh victim login.  The wrap
-        for the home agent can be built (the ECDH half is unauthenticated)
-        but the signature over the fresh request cannot."""
+        """Play the foreign agent toward a fresh victim login.  The wrap for
+        the home agent can be built (the ECDH half is unauthenticated) but the
+        signature over the request cannot: one challenge carries random
+        signature bytes, and a second, played against a replay of the same
+        login, a signature spliced from a captured challenge."""
         suite = self.suite
         cp = suite.cp
-        with honest_step():
-            m1, mu_sess = prop.login_begin(suite, self.world.mu, rng)
-        mu_sess.wipe()
-
         fa_cert = view.public_material.get("fa_cert")
         if fa_cert is None:
             return AttackRun(None, None, False, "no public certificate material in view")
-        b = suite.rand_scalar(rng)
-        foreign_eph = ec.scalar_mul(cp, b, cp.generator)
-        sym_key = suite.kdf_point(ec.scalar_mul(cp, b, m1.home_dh_pub))
-        enc_for_home = suite.ae_encrypt(
-            sym_key,
-            suite.encode([m1.user_eph, fa_cert, m1.user_tag, m1.masked_id]),
-            rng,
-        )
-
-        variants: list[tuple[str, bytes]] = [
-            ("random-signature", rng.randbytes(2 * cp.scalar_bytes)),
-        ]
+        signatures = {"random-signature": lambda: rng.randbytes(2 * cp.scalar_bytes)}
         spliced = _find_raw(view, prop.ForeignChallenge.KIND)
         if spliced is not None:
-            old_m2 = wire.deserialize(cp, spliced)
-            variants.append(("spliced-signature", old_m2.foreign_sig))
+            signatures["spliced-signature"] = lambda: wire.deserialize(cp, spliced).foreign_sig
+        wrap: list = []  # the victim's login, the sealed payload, the foreign session
+
+        def foreign(fn, args):
+            if fn is not prop.fa_process_login:
+                return fn(*args)  # finishing takes no secret of the foreign agent
+            if not wrap:
+                m1 = args[2]
+                b = suite.rand_scalar(rng)
+                sym_key = suite.kdf_point(ec.scalar_mul(cp, b, m1.home_dh_pub))
+                payload = suite.encode([m1.user_eph, fa_cert, m1.user_tag, m1.masked_id])
+                wrap[:] = m1, suite.ae_encrypt(sym_key, payload, rng), prop.ForeignSession(
+                    b, ec.scalar_mul(cp, b, cp.generator), sym_key, m1.user_eph,
+                    m1.masked_id, m1.user_tag, m1.home_id)
+            _m1, enc_for_home, fa_sess = wrap
+            return prop.ForeignChallenge(fa_sess.foreign_eph, enc_for_home, signature()), fa_sess
+
+        def replayed_user(fn, args):
+            return (wrap[0], None) if fn is prop.login_begin else None
 
         rejections = []
-        for label, sig_bytes in variants:
-            m2 = prop.ForeignChallenge(foreign_eph, enc_for_home, sig_bytes)
-            try:
-                with honest_step():
-                    prop.ha_process(suite, self.world.ha, m2, rng)
-            except prop.SchemeError as exc:
-                rejections.append(f"{label}: {type(exc).__name__}")
-                continue
-            return AttackRun(None, None, True,
-                             f"home agent unexpectedly accepted variant {label}")
+        for label, signature in signatures.items():
+            roles = {MU: replayed_user, FA: foreign} if wrap else {FA: foreign}
+            run = _played(self, rng, roles, f"home agent accepted variant {label}")
+            if run.completed:
+                return run
+            rejections.append(f"{label}: {run.extra['error']}")
         return AttackRun(
             None, None, False,
             "home agent rejected every forged challenge (" + "; ".join(rejections) + ")",
@@ -432,6 +441,9 @@ class ProposedAdapter:
         )
 
 
+_FA_FOOLED = "foreign agent authenticated the adversary and shares its session key"
+
+
 class MunAdapter:
     name = "mun"
     login_kind = mun_mod.MunLogin.KIND
@@ -501,37 +513,25 @@ class MunAdapter:
 
     # -- impersonation ------------------------------------------------------------
 
-    def _serve_login(self, m1: mun_mod.MunLogin, rng: random.Random):
-        """Drive honest FA and HA through a login up to the foreign reply;
-        returns (reply, FA session) or raises MunError."""
-        suite = self.suite
-        with honest_step():
-            m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, m1, rng)
-            m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
-            return mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
-
-    def _complete_as_user(self, m4: mun_mod.MunForeignReply, fa_sess,
-                          rng: random.Random) -> AttackRun:
-        """Finish the handshake in the user role using only wire knowledge:
-        the reply bundle exposes the foreign nonce, and the key is a hash of
-        an ECDH value the adversary picks half of."""
+    def _user_role(self, m1: mun_mod.MunLogin, rng: random.Random):
+        """The user role played from wire knowledge alone: send `m1`, then
+        finish: the reply bundle exposes the foreign nonce, and the key is a
+        hash of an ECDH value the adversary picks half of."""
         suite = self.suite
         cp = suite.cp
-        b = suite.rand_scalar(rng)
-        client_eph = ec.scalar_mul(cp, b, cp.generator)
-        shared = ec.scalar_mul(cp, b, m4.foreign_eph)
-        key = suite.hash_fields([shared])
-        mac = suite.mac160(key, suite.encode([m4.bundle_foreign_nonce, client_eph]))
-        m5 = mun_mod.MunClientFinish(client_eph, mac)
-        try:
-            with honest_step():
-                fa_chan = mun_mod.mun_fa_verify(suite, m5, fa_sess)
-        except mun_mod.MunError as exc:
-            return AttackRun(key, None, False, f"foreign agent rejected the finish: {exc}")
-        return AttackRun(
-            key, fa_chan.key.value, True,
-            "foreign agent authenticated the adversary and shares its session key",
-        )
+
+        def user(fn, args):
+            if fn is mun_mod.mun_login:
+                return m1
+            m4 = args[2]
+            b = suite.rand_scalar(rng)
+            client_eph = ec.scalar_mul(cp, b, cp.generator)
+            shared = ec.scalar_mul(cp, b, m4.foreign_eph)
+            key = prop.SessionKey(suite.hash_fields([shared]))
+            mac = suite.mac160(key.value, suite.encode([m4.bundle_foreign_nonce, client_eph]))
+            return mun_mod.MunClientFinish(client_eph, mac), mun_mod.MunChannel(key, shared)
+
+        return user
 
     def impersonate_user(self, view: AdversaryView, rng: random.Random) -> AttackRun:
         raw = _find_raw(view, self.login_kind)
@@ -542,49 +542,35 @@ class MunAdapter:
         forged = mun_mod.MunLogin(
             old.home_id, suite.rand_bytes(rng, mun_mod.NONCE_BYTES), old.user_alias
         )
-        try:
-            m4, fa_sess = self._serve_login(forged, rng)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"agents rejected the forged login: {exc}")
-        run = self._complete_as_user(m4, fa_sess, rng)
-        run.extra["forged_home_nonce"] = forged.home_nonce.hex()
-        return run
+        return _played(self, rng, {MU: self._user_role(forged, rng)}, _FA_FOOLED,
+                       {"forged_home_nonce": forged.home_nonce.hex()})
 
     def impersonate_foreign(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        """Pose as the foreign agent: the home agent demands nothing from it,
-        and its reply gives the adversary everything the real agent would
-        have had."""
-        raw = _find_raw(view, self.login_kind)
-        if raw is None:
-            return AttackRun(None, None, False, "view holds no victim login message")
+        """Play the foreign agent toward the user's login: the home agent
+        demands nothing from it, and its reply gives the adversary everything
+        the real agent would have had."""
         suite = self.suite
         cp = suite.cp
-        m1 = wire.deserialize(cp, raw)
         foreign_id = view.public_material.get("foreign_id", self.world.fa.foreign_id)
-        foreign_nonce = suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
-        m2 = mun_mod.MunForward(foreign_id, foreign_nonce, m1.user_alias)
-        try:
-            with honest_step():
-                m3 = mun_mod.mun_ha_auth(suite, self.world.ha, m2)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"home agent rejected the forward: {exc}")
 
-        foreign_tag = suite.hash_fields([m3.home_tag, foreign_nonce, m1.home_nonce])
-        a = suite.rand_scalar(rng)
-        foreign_eph = ec.scalar_mul(cp, a, cp.generator)
-        m4 = mun_mod.MunForeignReply(foreign_tag, foreign_eph, m3.home_tag,
-                                     foreign_id, foreign_nonce)
-        try:
-            with honest_step():
-                m5, victim_chan = mun_mod.mun_mu_respond(suite, self.world.cred, m4, rng)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"victim rejected the reply: {exc}")
-        shared = ec.scalar_mul(cp, a, m5.client_eph)
-        key = suite.hash_fields([shared])
-        return AttackRun(
-            key, victim_chan.key.value, True,
-            "victim authenticated the fake foreign agent and shares its session key",
-        )
+        def foreign(fn, args):
+            if fn is mun_mod.mun_fa_forward:
+                m1 = args[2]
+                foreign_nonce = suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
+                return (mun_mod.MunForward(foreign_id, foreign_nonce, m1.user_alias),
+                        (foreign_nonce, m1.home_nonce))
+            if fn is mun_mod.mun_fa_respond:
+                m3, (foreign_nonce, home_nonce) = args[2], args[3]
+                foreign_tag = suite.hash_fields([m3.home_tag, foreign_nonce, home_nonce])
+                a = suite.rand_scalar(rng)
+                return mun_mod.MunForeignReply(foreign_tag, ec.scalar_mul(cp, a, cp.generator),
+                                               m3.home_tag, foreign_id, foreign_nonce), a
+            m5, a = args[1], args[2]
+            shared = ec.scalar_mul(cp, a, m5.client_eph)
+            return mun_mod.MunChannel(prop.SessionKey(suite.hash_fields([shared])), shared)
+
+        return _played(self, rng, {FA: foreign},
+                       "victim authenticated the fake foreign agent and shares its session key")
 
     def impersonate_home(self, view: AdversaryView, rng: random.Random) -> AttackRun:
         """Colluding pair: a rogue client with made-up credentials and a fake
@@ -597,28 +583,22 @@ class MunAdapter:
         suite = self.suite
         home_id = view.public_material.get("home_id", self.world.ha.home_id)
         rogue_nonce = suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
-        rogue_alias = rng.randbytes(20)
-        m1 = mun_mod.MunLogin(home_id, rogue_nonce, rogue_alias)
-        with honest_step():
-            m2, fa_sess = mun_mod.mun_fa_forward(suite, self.world.fa, m1, rng)
+        rogue = mun_mod.MunLogin(home_id, rogue_nonce, rng.randbytes(20))
 
-        # Fake home agent intercepts the forward and fabricates the reply.
-        p_fake = rng.randbytes(20)
-        s_fake = suite.xor160(
-            suite.xor160(
-                suite.hash_fields([m2.foreign_id, m2.foreign_nonce]), m2.user_alias
-            ),
-            p_fake,
-        )
-        m3 = mun_mod.MunHomeReply(s_fake, p_fake)
-        try:
-            with honest_step():
-                m4, fa_sess = mun_mod.mun_fa_respond(suite, self.world.fa, m3, fa_sess, rng)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"foreign agent rejected the fake reply: {exc}")
-        run = self._complete_as_user(m4, fa_sess, rng)
-        run.detail = ("foreign agent accepted a fabricated home-agent reply; " + run.detail)
-        return run
+        def home(fn, args):
+            # the fake home agent fabricates the reply to the forward
+            m2 = args[2]
+            p_fake = rng.randbytes(20)
+            s_fake = suite.xor160(
+                suite.xor160(
+                    suite.hash_fields([m2.foreign_id, m2.foreign_nonce]), m2.user_alias
+                ),
+                p_fake,
+            )
+            return mun_mod.MunHomeReply(s_fake, p_fake)
+
+        return _played(self, rng, {MU: self._user_role(rogue, rng), HA: home},
+                       "foreign agent accepted a fabricated home-agent reply; " + _FA_FOOLED)
 
     # -- password attacks -----------------------------------------------------
 
@@ -652,21 +632,14 @@ class MunAdapter:
             reg["user_id"], reg["user_alias"], reg["password_digest"],
             reg["home_nonce"], reg["home_id"],
         )
-        # Full credentials in hand; impersonate the user end to end.
-        suite = self.suite
-        m1 = mun_mod.mun_login(cred)
-        try:
-            m4, fa_sess = self._serve_login(m1, rng)
-            m5, chan = mun_mod.mun_mu_respond(suite, cred, m4, rng)
-            with honest_step():
-                fa_chan = mun_mod.mun_fa_verify(suite, m5, fa_sess)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"insider handshake failed: {exc}")
-        return AttackRun(
-            chan.key.value, fa_chan.key.value, True,
-            "insider read the password at registration and completed a full login",
-            extra={"recovered_password": reg["password_digest"].hex()},
-        )
+
+        def user(fn, args):
+            # full credentials in hand: the user's own steps, run with them
+            return fn(*(cred if arg is self.world.cred else arg for arg in args))
+
+        return _played(self, rng, {MU: user},
+                       "insider read the password at registration and completed a full login",
+                       {"recovered_password": reg["password_digest"].hex()})
 
     # -- replay / forward secrecy ----------------------------------------------
 
@@ -675,13 +648,8 @@ class MunAdapter:
         if raw is None:
             return AttackRun(None, None, False, "view holds no prior login message")
         m1 = wire.deserialize(self.suite.cp, raw)  # replayed verbatim
-        try:
-            m4, fa_sess = self._serve_login(m1, rng)
-        except mun_mod.MunError as exc:
-            return AttackRun(None, None, False, f"agents rejected the replay: {exc}")
-        run = self._complete_as_user(m4, fa_sess, rng)
-        run.detail = "verbatim replay accepted; " + run.detail
-        return run
+        return _played(self, rng, {MU: self._user_role(m1, rng)},
+                       "verbatim replay accepted; " + _FA_FOOLED)
 
     def forward_secrecy_break(self, view: AdversaryView, rng: random.Random) -> AttackRun:
         raw_m4 = _find_raw(view, mun_mod.MunForeignReply.KIND)
@@ -889,7 +857,12 @@ def run_attack(
     trials: int = 200,
     cdl: bool = False,
 ) -> AttackOutcome:
-    """Run one named strategy with the view it requires."""
+    """Run one named strategy with the view it requires.  `cdl` grants the
+    discrete-log oracle, and raises `ValueError` at once on a group too large
+    for it."""
+    cp = adapter.suite.cp
+    if cdl and cp.n > ec.DLOG_MAX_ORDER:
+        raise ValueError(f"the discrete-log oracle cannot brute-force {cp.name}")
     if name == "traceability":
         return attack_traceability(adapter, rng, trials)
     if name in ("mu-impersonation", "fa-impersonation", "ha-impersonation", "replay"):

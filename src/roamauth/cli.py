@@ -36,7 +36,8 @@ EXIT_USAGE = 2
 
 
 def _is_toy(suite: CryptoSuite) -> bool:
-    return suite.cp.n < (1 << 20)
+    """Whether the discrete-log oracle can brute-force the curve."""
+    return suite.cp.n <= ec.DLOG_MAX_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,10 @@ def cmd_attack(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.cdl_oracle and not _is_toy(suite):
+        print(f"error: --cdl-oracle grants the discrete-log oracle, which cannot "
+              f"brute-force {suite.cp.name}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         dictionary = load_dictionary(Path(args.dict)) if args.dict else None
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_at_least_one, default=200,
                     help="trials for the traceability game")
     sp.add_argument("--cdl-oracle", action="store_true",
-                    help="grant the small-group discrete-log oracle (toy curve)")
+                    help="grant the small-group discrete-log oracle (toy curve only)")
     sp.add_argument("--allow-toy", action="store_true",
                     help="permit security assertions on the toy curve")
     sp.add_argument("--out", help="outcome JSON path")

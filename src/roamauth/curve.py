@@ -298,13 +298,16 @@ def enumerate_group(cp: CurveParams) -> list[Point]:
     return points
 
 
+DLOG_MAX_ORDER = 1 << 20  # the largest group order `brute_force_dlog` serves
+
+
 def brute_force_dlog(cp: CurveParams, target: Point) -> int | None:
     """Exhaustive discrete log: smallest k with k*G == target, or None.
 
     This is the toy-profile oracle that stands in for breaking the
-    discrete-log assumption; it refuses a group order above 2**20.
+    discrete-log assumption; it refuses a group order above DLOG_MAX_ORDER.
     """
-    if cp.n > 1 << 20:
+    if cp.n > DLOG_MAX_ORDER:
         raise CurveError(f"group of order {cp.n} too large to brute-force")
     acc = g = cp.generator
     for k in range(1, cp.n):

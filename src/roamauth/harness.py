@@ -115,8 +115,11 @@ class ScenarioSpec:
 
 
 def honest_step():
-    """Mark the dynamic extent of an honest party's protocol step driven by
-    attack code; its operations are billed to a scratch counter."""
+    """Mark the dynamic extent of an honest party's protocol step that attack
+    code calls outside `run_session`; its operations are billed to a scratch
+    counter.  Only what no session can drive uses it: the traceability game's
+    first flights and second user, and the proposed scheme's HA-impersonation
+    game, which retries `fa_finish` on one foreign session."""
     return counting(OpCounts())
 
 
@@ -277,6 +280,7 @@ class Transcript:
 
 
 AdversaryHook = Callable[[str, str, str, bytes], bytes]
+Strategy = Callable[[Callable, tuple], object]
 
 
 class MessageBus:
@@ -523,6 +527,7 @@ def run_session(
     world=None,
     adversary: AdversaryHook | None = None,
     update_rounds: int = 1,
+    play: dict[str, Strategy] | None = None,
 ) -> SessionResult:
     """Execute one scenario end to end and account for it.
 
@@ -532,6 +537,11 @@ def run_session(
     the bus and hands the flow the result with the delivered message in its
     place.  A bare string yielded by the flow names the phase of later frames;
     frames of the "registration" phase go over the secure channel.
+
+    `play` maps a party to the adversary strategy that plays its role: a hop
+    of that party runs `strategy(fn, args)` in place of `fn(*args)`, outside
+    any counting block, and its frame goes over the bus like any other (it is
+    decoded, validated and recorded, and billed to no party).
 
     The outcome dict always carries "success"; on an abort it carries, instead
     of keys, the reason ("abort"), the exception class ("error") and the
@@ -572,8 +582,11 @@ def run_session(
                 continue
             sender, receiver, fn, args = hop
             party = sender
-            with counting(counters[sender]):
-                result = fn(*args)
+            if play and sender in play:
+                result = play[sender](fn, args)
+            else:
+                with counting(counters[sender]):
+                    result = fn(*args)
             if receiver is not None:
                 party = receiver
                 pair = type(result) is tuple
@@ -591,10 +604,12 @@ def run_session(
     return SessionResult(transcript, measure_costs(transcript, counters), outcome)
 
 
-def _key_outcome(mu_key: prop.SessionKey, peer_key: prop.SessionKey,
+def _key_outcome(mu_key: prop.SessionKey | None, peer_key: prop.SessionKey | None,
                  peer: str = "fa_key") -> dict:
-    return {"success": mu_key.value == peer_key.value, "mu_key": mu_key.value.hex(),
-            peer: peer_key.value.hex()}
+    """Both keys, hex; a played party may end holding none (None)."""
+    mu_hex, peer_hex = (k.value.hex() if k else None for k in (mu_key, peer_key))
+    return {"success": mu_hex is not None and mu_hex == peer_hex, "mu_key": mu_hex,
+            peer: peer_hex}
 
 
 def _key_update(suite, rng, update_rounds: int, steps, mu, fa, key):
@@ -632,7 +647,6 @@ def _proposed_flow(suite, world: ProposedWorld, scenario: str, rng, update_round
         m1, mu_sess = yield MU, HA, prop.home_login, (suite, mu, rng)
         hm2, ha_key = yield HA, MU, prop.home_ha_respond, (suite, world.ha, m1, rng)
         mu_key = yield MU, None, prop.home_mu_confirm, (suite, mu, mu_sess, hm2)
-        mu_sess.wipe()
         return _key_outcome(mu_key, ha_key, "ha_key")
     if scenario == "password-change":
         new_password = b"pw-" + suite.rand_bytes(rng, 8).hex().encode()
@@ -659,8 +673,6 @@ def _proposed_login(suite, world: ProposedWorld, rng):
     m3 = yield HA, FA, prop.ha_process, (suite, world.ha, m2, rng)
     m4, fa_key = yield FA, MU, prop.fa_finish, (suite, world.fa, fa_sess, m3)
     mu_key = yield MU, None, prop.mu_finish, (suite, world.mu, mu_sess, m4)
-    mu_sess.wipe()
-    fa_sess.wipe()
     return mu_key, fa_key
 
 

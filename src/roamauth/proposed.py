@@ -128,7 +128,7 @@ class MUState:
 
 @dataclass
 class UserSession:
-    """Mobile-user ephemerals for one login; single-use."""
+    """Mobile-user ephemerals for one login; the finishing step wipes them."""
 
     eph_priv: int | None
     user_eph: Point
@@ -141,7 +141,7 @@ class UserSession:
 
 @dataclass
 class ForeignSession:
-    """Foreign-agent ephemerals for one login; single-use."""
+    """Foreign-agent ephemerals for one login; `fa_finish` wipes them."""
 
     eph_priv: int | None
     foreign_eph: Point
@@ -466,6 +466,7 @@ def fa_finish(
         raise SignatureInvalid("home agent signature does not verify")
 
     shared = suite.scalar_mul(session.eph_priv, session.user_eph)
+    session.wipe()
     key = SessionKey(suite.hash_fields([shared]))
     msg = LoginAccept(session.foreign_eph, fa.foreign_id, confirm_tag)
     return msg, key
@@ -482,6 +483,7 @@ def mu_finish(
     if not hmac.compare_digest(expected, m4.confirm_tag):
         raise ConfirmMismatch("confirmation tag mismatch; agents not authenticated")
     shared = suite.scalar_mul(session.eph_priv, m4.foreign_eph)
+    session.wipe()
     return SessionKey(suite.hash_fields([shared]))
 
 
@@ -586,4 +588,5 @@ def home_mu_confirm(
     if not hmac.compare_digest(expected, hm2.confirm_tag):
         raise ConfirmMismatch("home confirmation tag mismatch")
     shared = suite.scalar_mul(session.eph_priv, hm2.home_eph)
+    session.wipe()
     return SessionKey(suite.hash_fields([shared]))

@@ -7,13 +7,17 @@ attack code touches party secrets only inside honest protocol steps or
 through explicitly granted views.
 """
 
+import inspect
 import json
 import random
 
 import pytest
 
 from roamauth import harness
+from roamauth import mun as mun_mod
+from roamauth import proposed as prop
 from roamauth.attacks import (
+    ATTACK_NAMES,
     AdversaryView,
     attack_fa_impersonation,
     attack_ha_impersonation,
@@ -28,6 +32,8 @@ from roamauth.attacks import (
     run_attack_matrix,
     surveil,
 )
+from roamauth.curve import TOY
+from roamauth.suite import CryptoSuite
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +267,17 @@ def test_oracle_breaks_forward_secrecy_on_toy_curve(toy_suite):
         assert outcome.succeeded, scheme
 
 
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_oracle_refused_on_p256_before_any_session(p256_suite, scheme):
+    rng = random.Random(31)
+    adapter = make_adapter(scheme, p256_suite, rng)
+    state = rng.getstate()
+    for name in ("mu-impersonation", "replay", "forward-secrecy"):
+        with pytest.raises(ValueError, match="discrete-log oracle"):
+            run_attack(name, adapter, rng, cdl=True)
+    assert rng.getstate() == state  # no session drew from it
+
+
 def test_forward_secrecy_holds_with_secrets_but_no_oracle(p256_suite):
     rng = random.Random(27)
     for scheme in ("proposed", "mun"):
@@ -358,15 +375,71 @@ def test_attack_code_reads_secrets_only_in_honest_steps_or_grants(toy_suite, sch
         adapter.world.ha = AuditedParty(adapter.world.ha, fields["ha"], log, "ha")
         adapter.world.cred = AuditedParty(adapter.world.cred, fields["cred"], log, "cred")
 
-    # Run the impersonation and replay strategies (the ones that interleave
-    # adversary computation with honest steps) under audit.  Views are built
-    # first and the grant-time reads are discarded from the log.
-    view = surveil(adapter, rng)
+    # Run the impersonation, insider and replay strategies (the ones that
+    # interleave adversary computation with honest steps) under audit.  Views
+    # are built first and the grant-time reads are discarded from the log.
+    view = surveil(adapter, rng, insider=True)
     del log[:]
     attack_mu_impersonation(adapter, view, rng)
     attack_fa_impersonation(adapter, view, rng)
     attack_ha_impersonation(adapter, view, rng)
+    attack_insider(adapter, view, [b"guess"], rng)
     attack_replay_session_key(adapter, view, rng)
     offenders = [(who, name) for who, name, honest in log if not honest]
     assert offenders == [], f"secret reads outside honest steps: {offenders}"
     assert any(honest for _who, _name, honest in log)  # honest steps did read secrets
+
+
+# ---------------------------------------------------------------------------
+# honest steps receive what the bus delivered
+
+
+# Games whose honest steps all run in `run_session`, the adversary playing roles.
+PLAYED_GAMES = {
+    ("proposed", "mu-impersonation"), ("proposed", "fa-impersonation"),
+    ("proposed", "replay"), ("mun", "mu-impersonation"), ("mun", "fa-impersonation"),
+    ("mun", "ha-impersonation"), ("mun", "insider"), ("mun", "replay"),
+}
+# The steps attack code still calls by hand with a message it built itself:
+# the traceability game issues its second user's card from the registration
+# request, and the proposed HA-impersonation game retries `fa_finish` on one
+# foreign session, which no session can do.
+HAND_WRITTEN = {
+    ("proposed", "traceability", "register_issue"),
+    ("proposed", "ha-impersonation", "fa_process_login"),
+    ("proposed", "ha-impersonation", "fa_finish"),
+}
+
+
+def test_honest_steps_receive_only_frames_the_bus_delivered(monkeypatch):
+    delivered: dict[int, object] = {}  # holds each frame, so no id is reused
+    send = harness.MessageBus.send
+
+    def record_delivery(self, *args, **kwargs):
+        msg = send(self, *args, **kwargs)
+        delivered[id(msg)] = msg
+        return msg
+
+    monkeypatch.setattr(harness.MessageBus, "send", record_delivery)
+    game: list[str] = []
+    received: set[tuple[str, str, str, bool]] = set()
+    for module in (prop, mun_mod):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                def spy(*args, _fn=fn, _name=name):
+                    if harness.in_honest_step():
+                        for arg in args:
+                            if hasattr(type(arg), "KIND"):
+                                received.add((*game, _name, delivered.get(id(arg)) is arg))
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, spy)
+
+    suite, rng = CryptoSuite(TOY), random.Random(2013)  # the frozen toy matrix
+    for scheme in ("proposed", "mun"):
+        adapter = make_adapter(scheme, suite, rng)
+        for name in ATTACK_NAMES:
+            game[:] = scheme, name
+            run_attack(name, adapter, rng, trials=200)
+
+    assert {(s, a, step) for s, a, step, via_bus in received if not via_bus} == HAND_WRITTEN
+    assert {(s, a) for s, a, _step, via_bus in received if via_bus} >= PLAYED_GAMES

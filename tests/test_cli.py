@@ -190,6 +190,17 @@ def test_attack_oracle_on_toy_demonstrates_reduction(tmp_path):
                "--seed", "6") == EXIT_OK
 
 
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+@pytest.mark.parametrize("attack", ["mu-impersonation", "replay", "forward-secrecy"])
+def test_attack_oracle_on_p256_is_usage_error(tmp_path, capsys, attack, scheme):
+    out = tmp_path / "o.json"
+    assert run("attack", "--attack", attack, "--scheme", scheme, "--curve", "p256",
+               "--cdl-oracle", "--expect", "success", "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "discrete-log oracle" in err
+    assert not out.exists()
+
+
 def test_attack_with_dictionary_file(tmp_path, toy_suite):
     import random
 

@@ -13,6 +13,7 @@ from roamauth import harness, instrument
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth.attacks import AttackOutcome
+from roamauth.curve import INFINITY
 from roamauth.harness import (
     CostReport,
     Transcript,
@@ -309,6 +310,41 @@ def test_tampered_refresh_aborts_its_own_round(toy_suite, scheme, error):
     assert len(refreshes) == 2
 
 
+# ---------------------------------------------------------------------------
+# played roles: the adversary runs a party's steps inside the session
+
+
+def _as_honest(fn, args):
+    return fn(*args)
+
+
+@pytest.mark.parametrize("scheme,party", [("proposed", "MU"), ("proposed", "FA"),
+                                          ("proposed", "HA"), ("mun", "MU"),
+                                          ("mun", "FA"), ("mun", "HA")])
+def test_a_played_party_is_billed_nothing_and_its_frames_are_recorded(toy_suite, scheme,
+                                                                       party):
+    honest = run_session(toy_suite, scheme, "foreign-auth", random.Random(40))
+    played = run_session(toy_suite, scheme, "foreign-auth", random.Random(40),
+                         play={party: _as_honest})
+    assert played.outcome == honest.outcome and played.outcome["success"]
+    assert set(played.report.op_counts[party].values()) == {0}
+    for other in {"MU", "FA", "HA"} - {party}:
+        assert played.report.op_counts[other] == honest.report.op_counts[other]
+    assert any(e.sender == party for e in played.transcript.entries)
+    assert played.transcript == honest.transcript
+
+
+def test_a_played_identity_point_is_refused_at_the_bus(toy_suite):
+    def identity_challenge(fn, args):
+        m2, fa_sess = fn(*args)  # the session ends at the home agent
+        return dataclasses.replace(m2, foreign_eph=INFINITY), fa_sess
+
+    res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(41),
+                      play={"FA": identity_challenge})
+    assert (res.outcome["error"], res.outcome["party"]) == ("CurveError", "HA")
+    assert [e.kind for e in res.transcript.entries] == ["login-request"]
+
+
 def test_honest_step_without_a_counter_is_not_unattributed(toy_suite):
     instrument.reset_unattributed()
     with harness.honest_step():
@@ -549,9 +585,7 @@ def test_world_build_is_deterministic(toy_suite):
 
 
 def test_session_ephemerals_are_wiped(toy_suite):
-    # run_session wipes user/foreign session scalars after completion
-    from roamauth import proposed as prop
-
+    # the finishing steps wipe the user and foreign session scalars
     world = build_proposed_world(toy_suite, random.Random(16))
     rng = random.Random(17)
     m1, mu_sess = prop.login_begin(toy_suite, world.mu, rng)
@@ -559,7 +593,5 @@ def test_session_ephemerals_are_wiped(toy_suite):
     m3 = prop.ha_process(toy_suite, world.ha, m2, rng)
     m4, _ = prop.fa_finish(toy_suite, world.fa, fa_sess, m3)
     prop.mu_finish(toy_suite, world.mu, mu_sess, m4)
-    mu_sess.wipe()
-    fa_sess.wipe()
     assert mu_sess.eph_priv is None
     assert fa_sess.eph_priv is None
