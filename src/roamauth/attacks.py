@@ -310,8 +310,9 @@ class ProposedAdapter:
         home_id = view.public_material.get("home_id", identity_from_label("ha.example"))
 
         c_fake = suite.rand_scalar(rng)
+        a_fake = suite.rand_scalar(rng)
         rogue_m1 = prop.LoginRequest(
-            user_eph=ec.scalar_mul(cp, suite.rand_scalar(rng), cp.generator),
+            user_eph=ec.scalar_mul(cp, a_fake, cp.generator),
             masked_id=rng.randbytes(20),
             home_dh_pub=ec.scalar_mul(cp, c_fake, cp.generator),
             user_tag=rng.randbytes(20),
@@ -342,12 +343,15 @@ class ProposedAdapter:
             m3 = prop.HomeAnswer(enc_for_foreign, sig.to_bytes(cp))
             try:
                 with honest_step():
-                    prop.fa_finish(suite, self.world.fa, fa_sess, m3)
+                    _, fa_key = prop.fa_finish(suite, self.world.fa, fa_sess, m3)
             except prop.SchemeError as exc:
                 rejections.append(f"{label}: {type(exc).__name__}")
                 continue
-            return AttackRun(None, None, True,
-                             f"foreign agent unexpectedly accepted variant {label}")
+            # the rogue client derives the key as fa_finish does, from its own half
+            rogue_key = suite.hash_fields([ec.scalar_mul(cp, a_fake, m2.foreign_eph)])
+            return AttackRun(rogue_key, fa_key.value, True,
+                             f"foreign agent accepted variant {label} and shares the "
+                             "rogue client's session key")
         return AttackRun(
             None, None, False,
             "foreign agent rejected every forged answer ("

@@ -25,6 +25,7 @@ paths are tested against.  The adversary's discrete-log oracle,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.hazmat.primitives.asymmetric.ec import (
     ECDH,
@@ -75,11 +76,11 @@ class CurveParams:
     def generator(self) -> Point:
         return Point(self.gx, self.gy)
 
-    @property
+    @cached_property
     def coord_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
-    @property
+    @cached_property
     def scalar_bytes(self) -> int:
         return (self.n.bit_length() + 7) // 8
 

@@ -8,12 +8,18 @@ never used.
 
 from __future__ import annotations
 
+import struct
+
 from .curve import CurveParams, Point, point_from_bytes, point_to_bytes
 
 TAG_BYTES = 0x01
 TAG_POINT = 0x02
 
 Field = tuple[int, bytes]
+
+_BYTES_TAG = bytes([TAG_BYTES])
+_POINT_TAG = bytes([TAG_POINT])
+_HEADER = struct.Struct(">BI")  # tag, payload length
 
 
 class EncodingError(ValueError):
@@ -25,13 +31,16 @@ def _frame(tag: int, payload: bytes) -> bytes:
 
 
 def encode_field(item: object, cp: CurveParams | None = None) -> bytes:
-    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], int):
-        tag, payload = item
-        return _frame(tag, payload)
+    if type(item) is bytes:
+        return _BYTES_TAG + len(item).to_bytes(4, "big") + item
     if isinstance(item, Point):
         if cp is None:
             raise EncodingError("encoding a point requires curve parameters")
-        return _frame(TAG_POINT, point_to_bytes(cp, item))
+        payload = point_to_bytes(cp, item)
+        return _POINT_TAG + len(payload).to_bytes(4, "big") + payload
+    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], int):
+        tag, payload = item
+        return _frame(tag, payload)
     if isinstance(item, (bytes, bytearray)):
         return _frame(TAG_BYTES, bytes(item))
     raise EncodingError(f"cannot encode field of type {type(item).__name__}")
@@ -39,20 +48,20 @@ def encode_field(item: object, cp: CurveParams | None = None) -> bytes:
 
 def encode_concat(items: list | tuple, cp: CurveParams | None = None) -> bytes:
     """Injective encoding of an ordered field list."""
-    return b"".join(encode_field(item, cp) for item in items)
+    return b"".join([encode_field(item, cp) for item in items])
 
 
 def decode_concat(data: bytes) -> list[Field]:
     """Inverse of encode_concat; returns (tag, payload) pairs."""
     fields: list[Field] = []
+    end = len(data)
     i = 0
-    while i < len(data):
-        if i + 5 > len(data):
+    while i < end:
+        if i + 5 > end:
             raise EncodingError("truncated field header")
-        tag = data[i]
-        length = int.from_bytes(data[i + 1 : i + 5], "big")
+        tag, length = _HEADER.unpack_from(data, i)
         i += 5
-        if i + length > len(data):
+        if i + length > end:
             raise EncodingError("truncated field payload")
         fields.append((tag, data[i : i + length]))
         i += length

@@ -137,20 +137,20 @@ def _rfc6979_nonce(cp: CurveParams, priv: int, digest: bytes) -> int:
     V = b"\x01" * holen
     K = b"\x00" * holen
     seed = _int2octets(priv, n) + _bits2octets(digest, n)
-    K = hmac.new(K, V + b"\x00" + seed, hashlib.sha256).digest()
-    V = hmac.new(K, V, hashlib.sha256).digest()
-    K = hmac.new(K, V + b"\x01" + seed, hashlib.sha256).digest()
-    V = hmac.new(K, V, hashlib.sha256).digest()
+    K = hmac.digest(K, V + b"\x00" + seed, "sha256")
+    V = hmac.digest(K, V, "sha256")
+    K = hmac.digest(K, V + b"\x01" + seed, "sha256")
+    V = hmac.digest(K, V, "sha256")
     while True:
         T = b""
         while len(T) * 8 < n.bit_length():
-            V = hmac.new(K, V, hashlib.sha256).digest()
+            V = hmac.digest(K, V, "sha256")
             T += V
         k = _bits2int(T, n)
         if 1 <= k < n:
             return k
-        K = hmac.new(K, V + b"\x00", hashlib.sha256).digest()
-        V = hmac.new(K, V, hashlib.sha256).digest()
+        K = hmac.digest(K, V + b"\x00", "sha256")
+        V = hmac.digest(K, V, "sha256")
 
 
 class CryptoSuite:
@@ -232,7 +232,7 @@ class CryptoSuite:
 
     def mac160(self, key: bytes, data: bytes) -> bytes:
         instrument.record("mac")
-        return hmac.new(key, data, hashlib.sha256).digest()[:DIGEST_BYTES]
+        return hmac.digest(key, data, "sha256")[:DIGEST_BYTES]
 
     # -- signatures ------------------------------------------------------------
 

@@ -107,6 +107,7 @@ def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> l
     raw = decode_concat(data)
     if len(raw) != len(kinds):
         raise EncodingError(f"{what}: expected {len(kinds)} fields, got {len(raw)}")
+    sig_width = 2 * cp.scalar_bytes
     values = []
     for kind, item in zip(kinds, raw):
         if kind == "point":
@@ -116,7 +117,7 @@ def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> l
                 raise EncodingError(f"{what}: {exc}") from exc
             continue
         value = field_bytes(item)
-        width = 2 * cp.scalar_bytes if kind == "sig" else FIXED_BYTES.get(kind)
+        width = sig_width if kind == "sig" else FIXED_BYTES.get(kind)
         if width is not None and len(value) != width:
             raise EncodingError(f"{what}: {kind} field of {len(value)} bytes, expected {width}")
         values.append(value)

@@ -139,6 +139,21 @@ def test_proposed_ha_impersonation_decrypts_but_cannot_sign(p256_suite):
     assert "SignatureInvalid" in outcome.detail
 
 
+def test_proposed_ha_impersonation_accepted_forgery_is_a_break_on_toy():
+    # Toy ECDSA reduces digests into a 727-element group, so at seed 24 the
+    # forged signature under the real certificate happens to verify.  The
+    # rogue client then holds the foreign agent's session key.
+    rng = random.Random(24)
+    adapter = make_adapter("proposed", CryptoSuite(TOY), rng)
+    view = surveil(adapter, rng, sessions=0)
+    outcome = attack_ha_impersonation(adapter, view, rng)
+    assert outcome.succeeded
+    assert "real-certificate-forged-signature" in outcome.detail
+    assert outcome.evidence["handshake_completed"] is True
+    assert outcome.evidence["adversary_key"] == outcome.evidence["honest_party_key"]
+    assert outcome.evidence["adversary_key"] is not None
+
+
 def test_mun_ha_impersonation_serves_rogue_client(toy_suite, rng):
     adapter = make_adapter("mun", toy_suite, rng)
     view = surveil(adapter, rng, sessions=0)

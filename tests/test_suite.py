@@ -2,6 +2,7 @@
 signatures and certificates."""
 
 import hashlib
+import hmac
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from roamauth.suite import (
     Signature,
     SignatureFormatError,
     SuiteError,
+    _rfc6979_nonce,
     identity_from_label,
 )
 
@@ -196,6 +198,53 @@ def test_ecdsa_deterministic_nonce_vectors(msg, exp_r, exp_s):
     assert (sig.r, sig.s) == (exp_r, exp_s)
     pub = scalar_mul(P256, RFC6979_PRIV, P256.generator)
     assert suite._verify_digest(pub, hashlib.sha256(msg).digest(), sig)
+
+
+def _reference_nonce(n: int, priv: int, digest: bytes) -> tuple[int, int]:
+    """RFC 6979 section 3.2 with HMAC-SHA256, written from the RFC: the nonce
+    and how many candidates step h rejected."""
+    qlen, rolen = n.bit_length(), (n.bit_length() + 7) // 8
+
+    def bits2int(data: bytes) -> int:
+        x = int.from_bytes(data, "big")
+        return x >> (len(data) * 8 - qlen) if len(data) * 8 > qlen else x
+
+    def mac(key: bytes, msg: bytes) -> bytes:
+        return hmac.new(key, msg, hashlib.sha256).digest()
+
+    seed = priv.to_bytes(rolen, "big") + (bits2int(digest) % n).to_bytes(rolen, "big")
+    V, K = b"\x01" * 32, b"\x00" * 32
+    K = mac(K, V + b"\x00" + seed)
+    V = mac(K, V)
+    K = mac(K, V + b"\x01" + seed)
+    V = mac(K, V)
+    rejected = 0
+    while True:
+        T = b""
+        while len(T) * 8 < qlen:
+            V = mac(K, V)
+            T += V
+        k = bits2int(T)
+        if 1 <= k < n:
+            return k, rejected
+        rejected += 1
+        K = mac(K, V + b"\x00")
+        V = mac(K, V)
+
+
+def test_toy_nonce_and_mac_equal_an_hmac_new_reference(toy_suite):
+    # Toy digests are 20 bytes and toy n has 10 bits, so about 3 in 10
+    # candidates fall outside [1, n) and the rejection loop runs.
+    r = random.Random(6979)
+    rejected = 0
+    for _ in range(300):
+        priv, digest = r.randrange(1, TOY.n), r.randbytes(20)
+        k, skipped = _reference_nonce(TOY.n, priv, digest)
+        assert _rfc6979_nonce(TOY, priv, digest) == k
+        rejected += skipped
+        key, msg = r.randbytes(r.choice([0, 20, 32, 64, 65, 100])), r.randbytes(r.randrange(200))
+        assert toy_suite.mac160(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()[:20]
+    assert rejected > 0
 
 
 def test_sign_verify_roundtrip(p256_suite, rng):
