@@ -12,8 +12,10 @@ derived in the same run.
 Honest parties run in `harness.run_session`, and the adversary plays roles
 in it (`play=`): a played party's steps are the strategy's moves, and its
 frames cross the same bus as honest ones, so they are decoded, validated and
-recorded.  The few honest steps no session can drive run under the harness
-honest-step marker.  Either way a confinement audit can verify the adversary
+recorded.  A role that holds no secret is played by running its own steps,
+and strategies compute with the schemes' own equation helpers rather than
+re-typing them.  The few honest steps no session can drive run under the
+harness honest-step marker.  Either way a confinement audit can verify the adversary
 code itself never touches party secrets beyond the granted view.
 """
 
@@ -137,11 +139,12 @@ def _played(adapter, rng: random.Random, roles: dict, detail: str,
     return AttackRun(key[mine], None if peer in roles else key[peer], True, detail, extra or {})
 
 
-def _find_raw(view: AdversaryView, kind: str) -> bytes | None:
+def _find(view: AdversaryView, cp: ec.CurveParams, cls: type):
+    """The first open frame of message class `cls` the view captured, decoded."""
     for t in view.transcripts:
         for e in t.entries:
-            if e.kind == kind and not e.secure:
-                return e.payload
+            if e.kind == cls.KIND and not e.secure:
+                return wire.deserialize(cp, e.payload)
     return None
 
 
@@ -151,7 +154,6 @@ def _find_raw(view: AdversaryView, kind: str) -> bytes | None:
 
 class ProposedAdapter:
     name = "proposed"
-    login_kind = prop.LoginRequest.KIND
 
     def __init__(self, suite: CryptoSuite, rng: random.Random,
                  world: ProposedWorld | None = None):
@@ -229,11 +231,10 @@ class ProposedAdapter:
         """Play the user with a replayed login request.  The agents serve it,
         but the session key needs the original login ephemeral, which only a
         discrete-log oracle recovers."""
-        raw = _find_raw(view, self.login_kind)
-        if raw is None:
-            return AttackRun(None, None, False, "view holds no prior login request")
         suite, cp = self.suite, self.suite.cp
-        m1 = wire.deserialize(cp, raw)
+        m1 = _find(view, cp, prop.LoginRequest)
+        if m1 is None:
+            return AttackRun(None, None, False, "view holds no prior login request")
         extra: dict = {}
 
         def user(fn, args):
@@ -267,9 +268,9 @@ class ProposedAdapter:
         if fa_cert is None:
             return AttackRun(None, None, False, "no public certificate material in view")
         signatures = {"random-signature": lambda: rng.randbytes(2 * cp.scalar_bytes)}
-        spliced = _find_raw(view, prop.ForeignChallenge.KIND)
+        spliced = _find(view, cp, prop.ForeignChallenge)
         if spliced is not None:
-            signatures["spliced-signature"] = lambda: wire.deserialize(cp, spliced).foreign_sig
+            signatures["spliced-signature"] = lambda: spliced.foreign_sig
         wrap: list = []  # the victim's login, the sealed payload, the foreign session
 
         def foreign(fn, args):
@@ -410,35 +411,33 @@ class ProposedAdapter:
     def replay_session(self, view: AdversaryView, rng: random.Random) -> AttackRun:
         return self.impersonate_user(view, rng)
 
-    def forward_secrecy_break(self, view: AdversaryView, rng: random.Random) -> AttackRun:
+    def forward_secrecy_break(self, view: AdversaryView, rng: random.Random,
+                              honest_key: bytes | None) -> AttackRun:
         """Given every long-term secret and a full past transcript, try to
         reconstruct that session's key."""
         secrets = view.long_term_secrets or {}
-        raw_m1 = _find_raw(view, self.login_kind)
-        raw_m4 = _find_raw(view, prop.LoginAccept.KIND)
-        if raw_m1 is None or raw_m4 is None or "master_secret" not in secrets:
-            return AttackRun(None, None, False, "need a full transcript and the long-term secrets")
         cp = self.suite.cp
-        m1 = wire.deserialize(cp, raw_m1)
-        m4 = wire.deserialize(cp, raw_m4)
+        m1 = _find(view, cp, prop.LoginRequest)
+        m4 = _find(view, cp, prop.LoginAccept)
+        if m1 is None or m4 is None or "master_secret" not in secrets:
+            return AttackRun(None, None, False, "need a full transcript and the long-term secrets")
         # Long-term material unmasked everything identity-related, but the
         # session key is a hash of a*B and both ephemerals are gone.
         c = secrets["home_dh_priv"]
         user_dh = ec.scalar_mul(cp, c, m1.user_eph)
         user_id = self.suite.xor160(m1.masked_id, self.suite.hash_fields([user_dh]))
         extra = {"recovered_user_id": user_id.hex()}
-        honest = view.public_material.get("session_key")
         if view.cdl_oracle is not None:
             a = view.cdl_oracle(m1.user_eph)
             if a is not None:
                 shared = ec.scalar_mul(cp, a, m4.foreign_eph)
                 return AttackRun(
-                    self.suite.hash_fields([shared]), honest, True,
+                    self.suite.hash_fields([shared]), honest_key, True,
                     "discrete-log oracle recovered the ephemeral; past key reconstructed",
                     extra=extra,
                 )
         return AttackRun(
-            None, honest, True,
+            None, honest_key, True,
             "identity recovered from long-term secrets, but the past session key "
             "needs an ephemeral scalar (discrete-log hard at this size)",
             extra=extra,
@@ -450,7 +449,6 @@ _FA_FOOLED = "foreign agent authenticated the adversary and shares its session k
 
 class MunAdapter:
     name = "mun"
-    login_kind = mun_mod.MunLogin.KIND
 
     def __init__(self, suite: CryptoSuite, rng: random.Random,
                  world: MunWorld | None = None):
@@ -519,30 +517,20 @@ class MunAdapter:
 
     def _user_role(self, m1: mun_mod.MunLogin, rng: random.Random):
         """The user role played from wire knowledge alone: send `m1`, then
-        finish: the reply bundle exposes the foreign nonce, and the key is a
-        hash of an ECDH value the adversary picks half of."""
-        suite = self.suite
-        cp = suite.cp
+        finish with the user's own last flight, which needs no secret."""
 
         def user(fn, args):
             if fn is mun_mod.mun_login:
                 return m1
-            m4 = args[2]
-            b = suite.rand_scalar(rng)
-            client_eph = ec.scalar_mul(cp, b, cp.generator)
-            shared = ec.scalar_mul(cp, b, m4.foreign_eph)
-            key = prop.SessionKey(suite.hash_fields([shared]))
-            mac = suite.mac160(key.value, suite.encode([m4.bundle_foreign_nonce, client_eph]))
-            return mun_mod.MunClientFinish(client_eph, mac), mun_mod.MunChannel(key, shared)
+            return mun_mod.client_finish(self.suite, args[2], rng)
 
         return user
 
     def impersonate_user(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        raw = _find_raw(view, self.login_kind)
-        if raw is None:
-            return AttackRun(None, None, False, "view holds no prior login message")
         suite = self.suite
-        old = wire.deserialize(suite.cp, raw)
+        old = _find(view, suite.cp, mun_mod.MunLogin)
+        if old is None:
+            return AttackRun(None, None, False, "view holds no prior login message")
         forged = mun_mod.MunLogin(
             old.home_id, suite.rand_bytes(rng, mun_mod.NONCE_BYTES), old.user_alias
         )
@@ -550,28 +538,14 @@ class MunAdapter:
                        {"forged_home_nonce": forged.home_nonce.hex()})
 
     def impersonate_foreign(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        """Play the foreign agent toward the user's login: the home agent
-        demands nothing from it, and its reply gives the adversary everything
-        the real agent would have had."""
-        suite = self.suite
-        cp = suite.cp
-        foreign_id = view.public_material.get("foreign_id", self.world.fa.foreign_id)
+        """Play the foreign agent toward the user's login: it holds no
+        secret, so the adversary runs the agent's own steps under the public
+        foreign id.  The home agent demands nothing from it, and its reply
+        gives the adversary everything the real agent would have had."""
+        fa = mun_mod.MunFAState(view.public_material.get("foreign_id", self.world.fa.foreign_id))
 
         def foreign(fn, args):
-            if fn is mun_mod.mun_fa_forward:
-                m1 = args[2]
-                foreign_nonce = suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
-                return (mun_mod.MunForward(foreign_id, foreign_nonce, m1.user_alias),
-                        (foreign_nonce, m1.home_nonce))
-            if fn is mun_mod.mun_fa_respond:
-                m3, (foreign_nonce, home_nonce) = args[2], args[3]
-                foreign_tag = suite.hash_fields([m3.home_tag, foreign_nonce, home_nonce])
-                a = suite.rand_scalar(rng)
-                return mun_mod.MunForeignReply(foreign_tag, ec.scalar_mul(cp, a, cp.generator),
-                                               m3.home_tag, foreign_id, foreign_nonce), a
-            m5, a = args[1], args[2]
-            shared = ec.scalar_mul(cp, a, m5.client_eph)
-            return mun_mod.MunChannel(prop.SessionKey(suite.hash_fields([shared])), shared)
+            return fn(*(fa if arg is self.world.fa else arg for arg in args))
 
         return _played(self, rng, {FA: foreign},
                        "victim authenticated the fake foreign agent and shares its session key")
@@ -593,13 +567,8 @@ class MunAdapter:
             # the fake home agent fabricates the reply to the forward
             m2 = args[2]
             p_fake = rng.randbytes(20)
-            s_fake = suite.xor160(
-                suite.xor160(
-                    suite.hash_fields([m2.foreign_id, m2.foreign_nonce]), m2.user_alias
-                ),
-                p_fake,
-            )
-            return mun_mod.MunHomeReply(s_fake, p_fake)
+            return mun_mod.MunHomeReply(mun_mod.home_tag(
+                suite, m2.foreign_id, m2.foreign_nonce, m2.user_alias, p_fake), p_fake)
 
         return _played(self, rng, {MU: self._user_role(rogue, rng), HA: home},
                        "foreign agent accepted a fabricated home-agent reply; " + _FA_FOOLED)
@@ -610,14 +579,11 @@ class MunAdapter:
         """The home reply leaks a clean offline predicate:
         h(ID_FA || N_FA) xor r_MU xor h(PW' || N_FA) == S_HA."""
         suite = self.suite
-        raw_m1 = _find_raw(view, self.login_kind)
-        raw_m2 = _find_raw(view, mun_mod.MunForward.KIND)
-        raw_m3 = _find_raw(view, mun_mod.MunHomeReply.KIND)
-        if raw_m1 is None or raw_m2 is None or raw_m3 is None:
+        m1, m2, m3 = (_find(view, suite.cp, cls) for cls in (
+            mun_mod.MunLogin, mun_mod.MunForward, mun_mod.MunHomeReply))
+        if m1 is None or m2 is None or m3 is None:
             return PasswordVerifier(lambda cand: None, ("full transcript",))
-        m1 = wire.deserialize(suite.cp, raw_m1)
-        m2 = wire.deserialize(suite.cp, raw_m2)
-        m3 = wire.deserialize(suite.cp, raw_m3)
+        # mun.home_tag split in two: h(ID_FA || N_FA) is hashed once, not per candidate
         base = suite.xor160(suite.hash_fields([m2.foreign_id, m2.foreign_nonce]),
                             m1.user_alias)
 
@@ -648,32 +614,29 @@ class MunAdapter:
     # -- replay / forward secrecy ----------------------------------------------
 
     def replay_session(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        raw = _find_raw(view, self.login_kind)
-        if raw is None:
+        m1 = _find(view, self.suite.cp, mun_mod.MunLogin)  # replayed verbatim
+        if m1 is None:
             return AttackRun(None, None, False, "view holds no prior login message")
-        m1 = wire.deserialize(self.suite.cp, raw)  # replayed verbatim
         return _played(self, rng, {MU: self._user_role(m1, rng)},
                        "verbatim replay accepted; " + _FA_FOOLED)
 
-    def forward_secrecy_break(self, view: AdversaryView, rng: random.Random) -> AttackRun:
-        raw_m4 = _find_raw(view, mun_mod.MunForeignReply.KIND)
-        raw_m5 = _find_raw(view, mun_mod.MunClientFinish.KIND)
-        if raw_m4 is None or raw_m5 is None or view.long_term_secrets is None:
-            return AttackRun(None, None, False, "need a full transcript and the long-term secrets")
+    def forward_secrecy_break(self, view: AdversaryView, rng: random.Random,
+                              honest_key: bytes | None) -> AttackRun:
         cp = self.suite.cp
-        m4 = wire.deserialize(cp, raw_m4)
-        m5 = wire.deserialize(cp, raw_m5)
-        honest = view.public_material.get("session_key")
+        m4 = _find(view, cp, mun_mod.MunForeignReply)
+        m5 = _find(view, cp, mun_mod.MunClientFinish)
+        if m4 is None or m5 is None or view.long_term_secrets is None:
+            return AttackRun(None, None, False, "need a full transcript and the long-term secrets")
         if view.cdl_oracle is not None:
             a = view.cdl_oracle(m4.foreign_eph)
             if a is not None:
                 shared = ec.scalar_mul(cp, a, m5.client_eph)
                 return AttackRun(
-                    self.suite.hash_fields([shared]), honest, True,
+                    self.suite.hash_fields([shared]), honest_key, True,
                     "discrete-log oracle recovered the ephemeral; past key reconstructed",
                 )
         return AttackRun(
-            None, honest, True,
+            None, honest_key, True,
             "the password and alias do not help: the past key needs an "
             "ephemeral scalar (discrete-log hard at this size)",
         )
@@ -827,8 +790,10 @@ def attack_replay_session_key(adapter, view: AdversaryView, rng: random.Random) 
     return _judge_key_evidence("replay", adapter.name, run)
 
 
-def attack_forward_secrecy(adapter, view: AdversaryView, rng: random.Random) -> AttackOutcome:
-    run = adapter.forward_secrecy_break(view, rng)
+def attack_forward_secrecy(adapter, view: AdversaryView, rng: random.Random,
+                           honest_key: bytes | None) -> AttackOutcome:
+    """The judge compares against `honest_key`, which the view does not hold."""
+    run = adapter.forward_secrecy_break(view, rng, honest_key)
     return _judge_key_evidence("forward-secrecy", adapter.name, run)
 
 
@@ -887,20 +852,20 @@ def run_attack(
         words = default_dictionary(adapter, rng) if dictionary is None else dictionary
         return attack_insider(adapter, view, words, rng)
     if name == "forward-secrecy":
-        view = _forward_secrecy_view(adapter, rng, cdl=cdl)
-        return attack_forward_secrecy(adapter, view, rng)
+        view, honest_key = _forward_secrecy_view(adapter, rng, cdl=cdl)
+        return attack_forward_secrecy(adapter, view, rng, honest_key)
     raise ValueError(f"unknown attack {name!r}; known: {', '.join(ATTACK_NAMES)}")
 
 
-def _forward_secrecy_view(adapter, rng: random.Random, *, cdl: bool) -> AdversaryView:
-    """Observe one full session, then grant all long-term secrets plus the
-    honest session key as the comparison target."""
+def _forward_secrecy_view(adapter, rng: random.Random, *,
+                          cdl: bool) -> tuple[AdversaryView, bytes | None]:
+    """Observe one full session, then grant all long-term secrets.  Returns
+    the view and, for the judge only, the key the session established."""
     res = _observe(adapter, rng)
     view = surveil(adapter, rng, sessions=0, long_term=True, cdl=cdl)
     view.transcripts.append(res.transcript)
     key_hex = res.outcome.get("fa_key") or res.outcome.get("mu_key")
-    view.public_material["session_key"] = bytes.fromhex(key_hex) if key_hex else None
-    return view
+    return view, bytes.fromhex(key_hex) if key_hex else None
 
 
 def run_attack_matrix(

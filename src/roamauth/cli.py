@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=harness.SCHEMES, default="proposed")
     sp.add_argument("--scenario", choices=harness.SCENARIOS, default="foreign-auth")
     sp.add_argument("--scenario-file",
-                    help="declarative scenario JSON (overrides scheme/scenario/seed/curve)")
+                    help="scenario JSON (overrides scheme/scenario/seed/curve/update-rounds)")
     sp.add_argument("--card", help="card file from `register` (proposed scheme)")
     sp.add_argument("--password", help="password for --card logins")
     sp.add_argument("--update-rounds", type=_at_least_one, default=1)

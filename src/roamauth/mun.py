@@ -208,6 +208,14 @@ def mun_register(
 # authentication and key establishment
 
 
+def home_tag(suite: CryptoSuite, foreign_id: bytes, foreign_nonce: bytes, user_alias: bytes,
+             pw_tag: bytes) -> bytes:
+    """S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA, the home agent's tag over
+    the forward; the foreign agent and the user recompute it."""
+    return suite.xor160(
+        suite.xor160(suite.hash_fields([foreign_id, foreign_nonce]), user_alias), pw_tag)
+
+
 def mun_login(cred: MunCredentials) -> MunLogin:
     """First flight; nothing fresh in it, which is exactly the traceability
     problem demonstrated by the attack suite."""
@@ -233,13 +241,8 @@ def mun_ha_auth(suite: CryptoSuite, ha: MunHAState, m2: MunForward) -> MunHomeRe
     if password_digest is None:
         raise MunUnknownUser("no registered user matches the presented alias")
     pw_tag = suite.hash_fields([password_digest, m2.foreign_nonce])
-    home_tag = suite.xor160(
-        suite.xor160(
-            suite.hash_fields([m2.foreign_id, m2.foreign_nonce]), m2.user_alias
-        ),
-        pw_tag,
-    )
-    return MunHomeReply(home_tag, pw_tag)
+    return MunHomeReply(home_tag(suite, m2.foreign_id, m2.foreign_nonce, m2.user_alias, pw_tag),
+                        pw_tag)
 
 
 def mun_fa_respond(
@@ -252,13 +255,7 @@ def mun_fa_respond(
     """Recompute the home tag from the reply's own fields and compare; the
     check is tautological (it holds for any well-formed pair), which the
     home-agent-impersonation attack exploits."""
-    check = suite.xor160(
-        suite.xor160(
-            suite.hash_fields([fa.foreign_id, session.foreign_nonce]),
-            session.user_alias,
-        ),
-        m3.pw_tag,
-    )
+    check = home_tag(suite, fa.foreign_id, session.foreign_nonce, session.user_alias, m3.pw_tag)
     if not hmac.compare_digest(check, m3.home_tag):
         raise MunAuthError("home tag mismatch")
     foreign_tag = suite.hash_fields([m3.home_tag, session.foreign_nonce, session.home_nonce])
@@ -277,16 +274,19 @@ def mun_mu_respond(
 ) -> tuple[MunClientFinish, MunChannel]:
     """User recomputes both tags from its own password, then completes the
     key exchange."""
-    home_tag = suite.xor160(
-        suite.xor160(
-            suite.hash_fields([m4.bundle_foreign_id, m4.bundle_foreign_nonce]),
-            cred.user_alias,
-        ),
-        suite.hash_fields([cred.password_digest, m4.bundle_foreign_nonce]),
-    )
-    foreign_tag = suite.hash_fields([home_tag, m4.bundle_foreign_nonce, cred.home_nonce])
+    pw_tag = suite.hash_fields([cred.password_digest, m4.bundle_foreign_nonce])
+    expected = home_tag(suite, m4.bundle_foreign_id, m4.bundle_foreign_nonce,
+                        cred.user_alias, pw_tag)
+    foreign_tag = suite.hash_fields([expected, m4.bundle_foreign_nonce, cred.home_nonce])
     if not hmac.compare_digest(foreign_tag, m4.foreign_tag):
         raise MunAuthError("foreign tag mismatch; agents not authenticated")
+    return client_finish(suite, m4, rng)
+
+
+def client_finish(suite: CryptoSuite, m4: MunForeignReply,
+                  rng: random.Random) -> tuple[MunClientFinish, MunChannel]:
+    """The user's last flight {bP, f_K(N_FA || bP)} with K = h(b * aP); it
+    needs no secret of the user."""
     b = suite.rand_scalar(rng)
     client_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
     shared = suite.scalar_mul(b, m4.foreign_eph)

@@ -399,6 +399,19 @@ def fa_process_login(
     return msg, session
 
 
+def _authenticate_user(suite: CryptoSuite, ha: HAKeyMaterial, user_eph: Point,
+                       masked_id: bytes, user_tag: bytes) -> bytes:
+    """Home agent's user check: unmask the identity with c * A, derive
+    h(ID || y) and compare the user tag.  Returns h(ID || y)."""
+    user_dh = suite.scalar_mul(ha.dh.priv, user_eph)
+    user_id = suite.xor160(masked_id, suite.hash_fields([user_dh]))
+    id_key = suite.hash_fields([user_id, ha.master_secret])
+    expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
+    if not hmac.compare_digest(expected_tag, user_tag):
+        raise UserAuthFailure("user tag mismatch; user not authenticated")
+    return id_key
+
+
 def ha_process(
     suite: CryptoSuite, ha: HAKeyMaterial, m2: ForeignChallenge, rng: random.Random
 ) -> HomeAnswer:
@@ -422,13 +435,7 @@ def ha_process(
     if not suite.verify_over(cert.public_key, [user_eph, user_tag, masked_id], foreign_sig):
         raise SignatureInvalid("foreign agent signature does not verify")
 
-    user_dh = suite.scalar_mul(ha.dh.priv, user_eph)
-    user_id = suite.xor160(masked_id, suite.hash_fields([user_dh]))
-    id_key = suite.hash_fields([user_id, ha.master_secret])
-    expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
-    if not hmac.compare_digest(expected_tag, user_tag):
-        raise UserAuthFailure("user tag mismatch; user not authenticated")
-
+    id_key = _authenticate_user(suite, ha, user_eph, masked_id, user_tag)
     foreign_id = cert.subject_id
     confirm_tag = suite.hash_fields(
         [id_key, user_eph, m2.foreign_eph, foreign_id, ha.home_id]
@@ -560,13 +567,7 @@ def home_ha_respond(
     if m1.home_id != ha.home_id:
         raise SessionMismatch("login request is addressed to another home agent")
 
-    user_dh = suite.scalar_mul(ha.dh.priv, m1.user_eph)
-    user_id = suite.xor160(m1.masked_id, suite.hash_fields([user_dh]))
-    id_key = suite.hash_fields([user_id, ha.master_secret])
-    expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
-    if not hmac.compare_digest(expected_tag, m1.user_tag):
-        raise UserAuthFailure("user tag mismatch; user not authenticated")
-
+    id_key = _authenticate_user(suite, ha, m1.user_eph, m1.masked_id, m1.user_tag)
     u = suite.rand_scalar(rng)
     home_eph = suite.scalar_mul(u, suite.cp.generator, precomputable=True)
     confirm_tag = suite.hash_fields(

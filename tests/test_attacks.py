@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from roamauth import harness
+from roamauth import attacks, harness
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth.attacks import (
@@ -336,6 +336,56 @@ def test_home_flow_replay_answered_but_key_needs_discrete_log(toy_suite):
     assert a is not None
     shared = scalar_mul(toy_suite.cp, a, hm2.home_eph)
     assert toy_suite.hash_fields([shared]) == ha_key.value
+
+
+def test_mun_fa_impersonation_runs_the_foreign_agents_own_steps(toy_suite, monkeypatch):
+    # The mun foreign agent holds no secret, so the adversary plays it by
+    # running its real steps under a state of its own built from the public id.
+    rng = random.Random(44)
+    adapter = make_adapter("mun", toy_suite, rng)
+    view = surveil(adapter, rng)
+    calls = []
+    for name in ("mun_fa_forward", "mun_fa_respond", "mun_fa_verify"):
+        def spy(*args, _fn=getattr(mun_mod, name), _name=name):
+            states = [a for a in args if isinstance(a, mun_mod.MunFAState)]
+            calls.append((_name, harness.in_honest_step(), states))
+            return _fn(*args)
+        monkeypatch.setattr(mun_mod, name, spy)
+
+    assert attack_fa_impersonation(adapter, view, rng).succeeded
+    assert [name for name, _honest, _states in calls] == [
+        "mun_fa_forward", "mun_fa_respond", "mun_fa_verify"]
+    assert not any(honest for _name, honest, _states in calls)
+    states = [state for _name, _honest, st in calls for state in st]
+    assert len(states) == 2
+    assert all(s is not adapter.world.fa and s == adapter.world.fa for s in states)
+
+
+def test_no_view_built_by_run_attack_holds_the_session_key(monkeypatch):
+    # The forward-secrecy judge compares against the observed session's key;
+    # the adversary is asked to rebuild that key, so its view must not hold it.
+    seen = []
+    for name in ("attack_mu_impersonation", "attack_fa_impersonation",
+                 "attack_ha_impersonation", "attack_offline_guessing", "attack_insider",
+                 "attack_replay_session_key", "attack_forward_secrecy"):
+        def spy(adapter, view, *rest, _fn=getattr(attacks, name), _name=name):
+            seen.append((_name, view, rest))
+            return _fn(adapter, view, *rest)
+        monkeypatch.setattr(attacks, name, spy)
+
+    suite, rng = CryptoSuite(TOY), random.Random(45)
+    for scheme in ("proposed", "mun"):
+        adapter = make_adapter(scheme, suite, rng)
+        for name in ATTACK_NAMES:
+            run_attack(name, adapter, rng, trials=4)
+
+    assert len(seen) == 14
+    for _name, view, _rest in seen:
+        assert "session_key" not in view.public_material
+    judged = [rest[-1] for name, _view, rest in seen if name == "attack_forward_secrecy"]
+    assert len(judged) == 2 and all(type(key) is bytes for key in judged)
+    for key in judged:
+        assert all(key not in view.public_material.values() for _n, view, _r in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes form the shell-level test surface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from roamauth.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, load_dictionary, main
+from roamauth import harness
+from roamauth.cli import (
+    EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, load_dictionary, main,
+)
 
 
 def run(*argv) -> int:
@@ -125,6 +129,13 @@ def test_handshake_scenario_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scheme": "nope", "scenario": "foreign-auth"}))
     assert run("handshake", "--scenario-file", str(bad), "--out", str(out)) == EXIT_USAGE
+
+
+def test_scenario_file_help_names_every_field_it_overrides():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    action = next(a for a in sub.choices["handshake"]._actions if a.dest == "scenario_file")
+    for f in dataclasses.fields(harness.ScenarioSpec):
+        assert f.name.replace("_", "-") in action.help, f.name
 
 
 @pytest.mark.parametrize("fields", [

@@ -2,13 +2,17 @@
 and faithfully exhibit the weaknesses the attack suite demonstrates."""
 
 import dataclasses
+import functools
+import hashlib
+import hmac
 import random
 
 import pytest
 
 from roamauth import mun
+from roamauth.curve import P256, TOY, scalar_mul
 from roamauth.harness import build_mun_world, run_session
-from roamauth.suite import identity_from_label
+from roamauth.suite import CryptoSuite, identity_from_label
 
 
 @pytest.fixture()
@@ -71,6 +75,38 @@ def test_honest_chain_agrees(toy_suite, world, rng):
     *_m, mu_chan, fa_chan = _chain(toy_suite, world, rng)
     assert mu_chan.key.value == fa_chan.key.value
     assert mu_chan.shared_point == fa_chan.shared_point
+
+
+@pytest.mark.parametrize("curve", [TOY, P256], ids=lambda cp: cp.name)
+def test_home_tag_and_client_finish_match_the_published_equations(curve):
+    suite, rng = CryptoSuite(curve), random.Random(47)
+    G = curve.generator
+
+    def h(*items):  # the scheme's h: SHA-256 over the canonical encoding, 160 bits
+        return hashlib.sha256(suite.encode(items)).digest()[:20]
+
+    def xor(*parts):
+        return bytes(functools.reduce(lambda x, y: x ^ y, column) for column in zip(*parts))
+
+    for _ in range(40 if curve is TOY else 4):
+        foreign_id, nonce, alias, pw_tag = (rng.randbytes(n) for n in (20, 16, 20, 20))
+        # S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA
+        assert mun.home_tag(suite, foreign_id, nonce, alias, pw_tag) == xor(
+            h(foreign_id, nonce), alias, pw_tag)
+
+        a = rng.randrange(1, curve.n)
+        m4 = mun.MunForeignReply(rng.randbytes(20), scalar_mul(curve, a, G),
+                                 rng.randbytes(20), foreign_id, nonce)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        b = clone.randrange(1, curve.n)  # the draw client_finish makes
+        m5, chan = mun.client_finish(suite, m4, rng)
+        # {bP, f_K(N_FA || bP)} with K = h(abP), the key the foreign agent derives from aP
+        assert m5.client_eph == scalar_mul(curve, b, G)
+        assert chan.shared_point == scalar_mul(curve, a, m5.client_eph)
+        assert chan.key.value == h(chan.shared_point)
+        assert m5.finish_mac == hmac.new(chan.key.value, suite.encode([nonce, m5.client_eph]),
+                                         hashlib.sha256).digest()[:20]
 
 
 def test_login_message_is_static(toy_suite, world):
