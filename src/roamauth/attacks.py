@@ -246,7 +246,7 @@ class ProposedAdapter:
             if a is None:
                 return None
             extra["recovered_ephemeral"] = a
-            return prop.SessionKey(suite.hash_fields([ec.scalar_mul(cp, a, m4.foreign_eph)]))
+            return prop.login_key(suite, a, m4.foreign_eph)
 
         run = _played(self, rng, {MU: user}, (
             "agents accepted the replayed request and issued a login accept; "
@@ -277,13 +277,7 @@ class ProposedAdapter:
             if fn is not prop.fa_process_login:
                 return fn(*args)  # finishing takes no secret of the foreign agent
             if not wrap:
-                m1 = args[2]
-                b = suite.rand_scalar(rng)
-                sym_key = suite.kdf_point(ec.scalar_mul(cp, b, m1.home_dh_pub))
-                payload = suite.encode([m1.user_eph, fa_cert, m1.user_tag, m1.masked_id])
-                wrap[:] = m1, suite.ae_encrypt(sym_key, payload, rng), prop.ForeignSession(
-                    b, ec.scalar_mul(cp, b, cp.generator), sym_key, m1.user_eph,
-                    m1.masked_id, m1.user_tag, m1.home_id)
+                wrap[:] = args[2], *prop.foreign_wrap(suite, fa_cert, args[2], rng)
             _m1, enc_for_home, fa_sess = wrap
             return prop.ForeignChallenge(fa_sess.foreign_eph, enc_for_home, signature()), fa_sess
 
@@ -322,35 +316,23 @@ class ProposedAdapter:
         with honest_step():
             m2, fa_sess = prop.fa_process_login(suite, self.world.fa, rogue_m1, rng)
 
-        # The fake home agent intercepts and can actually decrypt the wrap.
-        sym_key = suite.kdf_point(ec.scalar_mul(cp, c_fake, m2.foreign_eph))
-        try:
-            plain = suite.ae_decrypt(sym_key, m2.enc_for_home)
-        except Exception:  # pragma: no cover - decryption works by construction
-            plain = None
+        # The fake home agent intercepts and opens the wrap as the home agent would.
+        sym_key, *_ = prop.open_wrap(suite, c_fake, m2)
         confirm_tag = rng.randbytes(20)
 
         rejections = []
-        for label, cert_bytes, signer_priv in self._home_forgery_variants(view, rng):
-            enc_for_foreign = suite.ae_encrypt(
-                sym_key,
-                suite.encode([
-                    self.world.fa.foreign_id, cert_bytes,
-                    rogue_m1.user_eph, m2.foreign_eph, confirm_tag,
-                ]),
-                rng,
-            )
-            sig = suite.sign_over(signer_priv, [cert_bytes, confirm_tag])
-            m3 = prop.HomeAnswer(enc_for_foreign, sig.to_bytes(cp))
+        for label, cert_bytes, signer_priv in self._home_forgery_variants(home_id, view, rng):
+            m3 = prop.home_answer(suite, sym_key, signer_priv, cert_bytes, self.world.fa.foreign_id,
+                                  rogue_m1.user_eph, m2.foreign_eph, confirm_tag, rng)
             try:
                 with honest_step():
                     _, fa_key = prop.fa_finish(suite, self.world.fa, fa_sess, m3)
             except prop.SchemeError as exc:
                 rejections.append(f"{label}: {type(exc).__name__}")
                 continue
-            # the rogue client derives the key as fa_finish does, from its own half
-            rogue_key = suite.hash_fields([ec.scalar_mul(cp, a_fake, m2.foreign_eph)])
-            return AttackRun(rogue_key, fa_key.value, True,
+            # the rogue client derives the key from its own half
+            rogue_key = prop.login_key(suite, a_fake, m2.foreign_eph)
+            return AttackRun(rogue_key.value, fa_key.value, True,
                              f"foreign agent accepted variant {label} and shares the "
                              "rogue client's session key")
         return AttackRun(
@@ -358,17 +340,14 @@ class ProposedAdapter:
             "foreign agent rejected every forged answer ("
             + "; ".join(rejections)
             + "); decrypting the wrap did not help",
-            extra={"wrap_decrypted": plain is not None},
+            extra={"wrap_decrypted": True},
         )
 
-    def _home_forgery_variants(self, view: AdversaryView, rng: random.Random):
+    def _home_forgery_variants(self, home_id: bytes, view: AdversaryView, rng: random.Random):
         suite = self.suite
         fake_signer = suite.keygen(rng)
         fake_cert = prop.Certificate(
-            view.public_material.get("home_id", identity_from_label("ha.example")),
-            fake_signer.pub,
-            suite._sign_digest(fake_signer.priv, rng.randbytes(20)),
-        )
+            home_id, fake_signer.pub, suite._sign_digest(fake_signer.priv, rng.randbytes(20)))
         yield "self-signed-certificate", fake_cert.to_bytes(suite.cp), fake_signer.priv
         real_cert = view.public_material.get("ha_cert")
         if real_cert is not None:
@@ -423,16 +402,14 @@ class ProposedAdapter:
             return AttackRun(None, None, False, "need a full transcript and the long-term secrets")
         # Long-term material unmasked everything identity-related, but the
         # session key is a hash of a*B and both ephemerals are gone.
-        c = secrets["home_dh_priv"]
-        user_dh = ec.scalar_mul(cp, c, m1.user_eph)
-        user_id = self.suite.xor160(m1.masked_id, self.suite.hash_fields([user_dh]))
+        user_dh = ec.scalar_mul(cp, secrets["home_dh_priv"], m1.user_eph)
+        user_id = prop.mask_identity(self.suite, m1.masked_id, user_dh)
         extra = {"recovered_user_id": user_id.hex()}
         if view.cdl_oracle is not None:
             a = view.cdl_oracle(m1.user_eph)
             if a is not None:
-                shared = ec.scalar_mul(cp, a, m4.foreign_eph)
                 return AttackRun(
-                    self.suite.hash_fields([shared]), honest_key, True,
+                    prop.login_key(self.suite, a, m4.foreign_eph).value, honest_key, True,
                     "discrete-log oracle recovered the ephemeral; past key reconstructed",
                     extra=extra,
                 )

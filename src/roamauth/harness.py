@@ -287,9 +287,10 @@ class MessageBus:
     """Serializing in-memory channel with transcript capture.
 
     Deliveries go through wire bytes and back, so a session exercises the
-    full codec; an adversary hook may rewrite the bytes in flight.  Every
-    group element of a delivered frame is validated here, before the frame is
-    recorded, so no protocol step rechecks one (`CurveError` on failure).
+    full codec; an adversary hook may rewrite the bytes in flight.  The
+    decoder checks that each point of a delivered frame is on the curve, and
+    the bus refuses the identity point before the frame is recorded, so no
+    protocol step rechecks one (`CurveError` on failure).
     """
 
     def __init__(self, suite: CryptoSuite, transcript: Transcript,
@@ -308,8 +309,8 @@ class MessageBus:
             # the receiver's step expects the kind that was sent
             raise EncodingError(f"expected {msg.KIND}, got {delivered.KIND}")
         for value in vars(delivered).values():
-            if type(value) is Point:
-                self.suite.validate_point(value)
+            if type(value) is Point and value.is_infinity:
+                raise CurveError("point at infinity rejected")
         self.transcript.entries.append(
             TranscriptEntry(
                 sender=sender,

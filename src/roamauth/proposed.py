@@ -18,8 +18,9 @@ Three parties: a mobile user (MU) holding a smart card, the foreign agent
 
 Every step is a pure function of (party state, message, rng) and either
 returns the next message or raises a scheme error; nothing is transmitted
-after a failed check.  A step gets a message whose field widths the wire
-decoder and whose group elements the bus have already checked.
+after a failed check.  A step gets a message whose field widths and
+on-curve points the wire decoder has already checked, and in which the bus
+has refused the identity point.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class SchemeError(Exception):
 
 class ValidationError(SchemeError):
     """An argument check failed: identity width, empty password or card salt
-    width.  Received frames are checked before a step runs (`harness.MessageBus`
-    validates group elements, `wire.unpack` field widths)."""
+    width.  Received frames are checked before a step runs (`wire.unpack`
+    checks field widths and that each point is on the curve, and
+    `harness.MessageBus` refuses the identity point)."""
 
 
 class LocalVerificationError(SchemeError):
@@ -359,6 +361,16 @@ def local_verify(suite: CryptoSuite, mu: MUState) -> bool:
     return True
 
 
+def mask_identity(suite: CryptoSuite, identity: bytes, dh_point: Point) -> bytes:
+    """DID = ID xor h(a * C); the same call on DID with c * A unmasks ID."""
+    return suite.xor160(identity, suite.hash_fields([dh_point]))
+
+
+def login_key(suite: CryptoSuite, priv: int, pub: Point) -> SessionKey:
+    """The login session key h(x * Y), from either end's ephemeral scalar."""
+    return SessionKey(suite.hash_fields([suite.scalar_mul(priv, pub)]))
+
+
 def login_begin(
     suite: CryptoSuite, mu: MUState, rng: random.Random
 ) -> tuple[LoginRequest, UserSession]:
@@ -369,33 +381,33 @@ def login_begin(
     a = suite.rand_scalar(rng)
     user_eph = suite.scalar_mul(a, suite.cp.generator, precomputable=True)
     dh_point = suite.scalar_mul(a, card.home_dh_pub, precomputable=True)
-    masked_id = suite.xor160(mu.user_id, suite.hash_fields([dh_point]))
+    masked_id = mask_identity(suite, mu.user_id, dh_point)
     user_tag = suite.hash_fields([id_key, dh_point, card.home_id])
     msg = LoginRequest(user_eph, masked_id, card.home_dh_pub, user_tag, card.home_id)
     return msg, UserSession(a, user_eph, dh_point, id_key)
+
+
+def foreign_wrap(suite: CryptoSuite, cert_bytes: bytes, m1: LoginRequest,
+                 rng: random.Random) -> tuple[bytes, ForeignSession]:
+    """The foreign agent's wrap E_{k(bC)}[A, Cert_FA, V1, DID] for the home
+    agent, and the foreign session it opens.  Needs no secret of the agent."""
+    b = suite.rand_scalar(rng)
+    foreign_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
+    sym_key = suite.kdf_point(suite.scalar_mul(b, m1.home_dh_pub))
+    payload = suite.encode([m1.user_eph, cert_bytes, m1.user_tag, m1.masked_id])
+    return suite.ae_encrypt(sym_key, payload, rng), ForeignSession(
+        b, foreign_eph, sym_key, m1.user_eph, m1.masked_id, m1.user_tag, m1.home_id)
 
 
 def fa_process_login(
     suite: CryptoSuite, fa: FAKeyMaterial, m1: LoginRequest, rng: random.Random
 ) -> tuple[ForeignChallenge, ForeignSession]:
     """Login flight 2 (foreign agent): wrap the request for the home agent and sign it."""
-    b = suite.rand_scalar(rng)
-    foreign_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
-    dh_point = suite.scalar_mul(b, m1.home_dh_pub)
-    sym_key = suite.kdf_point(dh_point)
-    cert_bytes = fa.cert.to_bytes(suite.cp)
-    enc_for_home = suite.ae_encrypt(
-        sym_key,
-        suite.encode([m1.user_eph, cert_bytes, m1.user_tag, m1.masked_id]),
-        rng,
-    )
+    enc_for_home, session = foreign_wrap(suite, fa.cert.to_bytes(suite.cp), m1, rng)
     foreign_sig = suite.sign_over(
         fa.signer.priv, [m1.user_eph, m1.user_tag, m1.masked_id]
     )
-    msg = ForeignChallenge(foreign_eph, enc_for_home, foreign_sig.to_bytes(suite.cp))
-    session = ForeignSession(
-        b, foreign_eph, sym_key, m1.user_eph, m1.masked_id, m1.user_tag, m1.home_id
-    )
+    msg = ForeignChallenge(session.foreign_eph, enc_for_home, foreign_sig.to_bytes(suite.cp))
     return msg, session
 
 
@@ -404,7 +416,7 @@ def _authenticate_user(suite: CryptoSuite, ha: HAKeyMaterial, user_eph: Point,
     """Home agent's user check: unmask the identity with c * A, derive
     h(ID || y) and compare the user tag.  Returns h(ID || y)."""
     user_dh = suite.scalar_mul(ha.dh.priv, user_eph)
-    user_id = suite.xor160(masked_id, suite.hash_fields([user_dh]))
+    user_id = mask_identity(suite, masked_id, user_dh)
     id_key = suite.hash_fields([user_id, ha.master_secret])
     expected_tag = suite.hash_fields([id_key, user_dh, ha.home_id])
     if not hmac.compare_digest(expected_tag, user_tag):
@@ -412,14 +424,12 @@ def _authenticate_user(suite: CryptoSuite, ha: HAKeyMaterial, user_eph: Point,
     return id_key
 
 
-def ha_process(
-    suite: CryptoSuite, ha: HAKeyMaterial, m2: ForeignChallenge, rng: random.Random
-) -> HomeAnswer:
-    """Login flight 3 (home agent): authenticate the foreign agent (certificate
-    plus signature) and the user (unmask the identity, recompute the user
-    tag), then answer."""
-    dh_point = suite.scalar_mul(ha.dh.priv, m2.foreign_eph)
-    sym_key = suite.kdf_point(dh_point)
+def open_wrap(
+    suite: CryptoSuite, dh_priv: int, m2: ForeignChallenge
+) -> tuple[bytes, Point, Certificate, bytes, bytes]:
+    """The home agent's opening of the wrap: k(c * B), then decrypt and parse
+    [A, Cert_FA, V1, DID].  Returns the key and the four fields."""
+    sym_key = suite.kdf_point(suite.scalar_mul(dh_priv, m2.foreign_eph))
     try:
         plain = suite.ae_decrypt(sym_key, m2.enc_for_home)
         user_eph, cert_bytes, user_tag, masked_id = unpack(
@@ -428,7 +438,26 @@ def ha_process(
         suite.validate_point(user_eph)
     except (AuthenticationError, EncodingError, CurveError) as exc:
         raise DecryptionFailure(f"foreign payload rejected: {exc}") from exc
+    return sym_key, user_eph, cert, user_tag, masked_id
 
+
+def home_answer(suite: CryptoSuite, sym_key: bytes, signer_priv: int, cert_ha_bytes: bytes,
+                foreign_id: bytes, user_eph: Point, foreign_eph: Point, confirm_tag: bytes,
+                rng: random.Random) -> HomeAnswer:
+    """The home agent's answer: E_{k(cB)}[ID_FA, Cert_HA, A, B, W1] and a
+    signature over [Cert_HA, W1]."""
+    payload = suite.encode([foreign_id, cert_ha_bytes, user_eph, foreign_eph, confirm_tag])
+    home_sig = suite.sign_over(signer_priv, [cert_ha_bytes, confirm_tag])
+    return HomeAnswer(suite.ae_encrypt(sym_key, payload, rng), home_sig.to_bytes(suite.cp))
+
+
+def ha_process(
+    suite: CryptoSuite, ha: HAKeyMaterial, m2: ForeignChallenge, rng: random.Random
+) -> HomeAnswer:
+    """Login flight 3 (home agent): authenticate the foreign agent (certificate
+    plus signature) and the user (unmask the identity, recompute the user
+    tag), then answer."""
+    sym_key, user_eph, cert, user_tag, masked_id = open_wrap(suite, ha.dh.priv, m2)
     if not suite.verify_certificate(ha.ca_pub, cert):
         raise CertificateInvalid("foreign agent certificate does not verify")
     foreign_sig = Signature.from_bytes(suite.cp, m2.foreign_sig)
@@ -440,14 +469,8 @@ def ha_process(
     confirm_tag = suite.hash_fields(
         [id_key, user_eph, m2.foreign_eph, foreign_id, ha.home_id]
     )
-    cert_ha_bytes = ha.cert.to_bytes(suite.cp)
-    enc_for_foreign = suite.ae_encrypt(
-        sym_key,
-        suite.encode([foreign_id, cert_ha_bytes, user_eph, m2.foreign_eph, confirm_tag]),
-        rng,
-    )
-    home_sig = suite.sign_over(ha.signer.priv, [cert_ha_bytes, confirm_tag])
-    return HomeAnswer(enc_for_foreign, home_sig.to_bytes(suite.cp))
+    return home_answer(suite, sym_key, ha.signer.priv, ha.cert.to_bytes(suite.cp),
+                       foreign_id, user_eph, m2.foreign_eph, confirm_tag, rng)
 
 
 def fa_finish(
@@ -472,9 +495,8 @@ def fa_finish(
     if not suite.verify_over(cert_ha.public_key, [cert_ha_bytes, confirm_tag], home_sig):
         raise SignatureInvalid("home agent signature does not verify")
 
-    shared = suite.scalar_mul(session.eph_priv, session.user_eph)
+    key = login_key(suite, session.eph_priv, session.user_eph)
     session.wipe()
-    key = SessionKey(suite.hash_fields([shared]))
     msg = LoginAccept(session.foreign_eph, fa.foreign_id, confirm_tag)
     return msg, key
 
@@ -489,9 +511,9 @@ def mu_finish(
     )
     if not hmac.compare_digest(expected, m4.confirm_tag):
         raise ConfirmMismatch("confirmation tag mismatch; agents not authenticated")
-    shared = suite.scalar_mul(session.eph_priv, m4.foreign_eph)
+    key = login_key(suite, session.eph_priv, m4.foreign_eph)
     session.wipe()
-    return SessionKey(suite.hash_fields([shared]))
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +595,7 @@ def home_ha_respond(
     confirm_tag = suite.hash_fields(
         [id_key, m1.user_eph, m1.home_dh_pub, home_eph, ha.home_id]
     )
-    shared = suite.scalar_mul(u, m1.user_eph)
-    key = SessionKey(suite.hash_fields([shared]))
-    return HomeAccept(home_eph, confirm_tag, ha.home_id), key
+    return HomeAccept(home_eph, confirm_tag, ha.home_id), login_key(suite, u, m1.user_eph)
 
 
 def home_mu_confirm(
@@ -588,6 +608,6 @@ def home_mu_confirm(
     )
     if not hmac.compare_digest(expected, hm2.confirm_tag):
         raise ConfirmMismatch("home confirmation tag mismatch")
-    shared = suite.scalar_mul(session.eph_priv, hm2.home_eph)
+    key = login_key(suite, session.eph_priv, hm2.home_eph)
     session.wipe()
-    return SessionKey(suite.hash_fields([shared]))
+    return key

@@ -361,6 +361,54 @@ def test_mun_fa_impersonation_runs_the_foreign_agents_own_steps(toy_suite, monke
     assert all(s is not adapter.world.fa and s == adapter.world.fa for s in states)
 
 
+def _spy_helpers(monkeypatch, names):
+    """Replace each named `proposed` helper with a spy that logs (name, whether
+    it ran inside an honest step, args, result)."""
+    calls = []
+    for name in names:
+        def spy(*args, _fn=getattr(prop, name), _name=name):
+            result = _fn(*args)
+            calls.append((_name, harness.in_honest_step(), args, result))
+            return result
+        monkeypatch.setattr(prop, name, spy)
+    return calls
+
+
+def test_proposed_fa_impersonation_wraps_with_the_schemes_helper(toy_suite, monkeypatch):
+    # The played foreign agent seals the victim's login with `foreign_wrap`,
+    # and the home agent opens that very ciphertext for both forged challenges.
+    rng = random.Random(45)
+    adapter = make_adapter("proposed", toy_suite, rng)
+    view = surveil(adapter, rng)
+    calls = _spy_helpers(monkeypatch, ("foreign_wrap", "open_wrap"))
+
+    assert not attack_fa_impersonation(adapter, view, rng).succeeded
+    wraps = [res for name, honest, _a, res in calls if name == "foreign_wrap" and not honest]
+    assert len(wraps) == 1 and not any(n == "foreign_wrap" and h for n, h, _a, _r in calls)
+    opened = [args[2].enc_for_home for name, honest, args, _r in calls
+              if name == "open_wrap" and honest]
+    assert opened == [wraps[0][0], wraps[0][0]]  # random and spliced signature
+
+
+def test_proposed_ha_impersonation_answers_with_the_schemes_helpers(toy_suite, monkeypatch):
+    # The fake home agent opens the wrap with `open_wrap` and builds each
+    # forged answer with `home_answer`; those answers are what `fa_finish` gets.
+    rng = random.Random(23)
+    adapter = make_adapter("proposed", toy_suite, rng)
+    view = surveil(adapter, rng, sessions=0)
+    calls = _spy_helpers(monkeypatch, ("foreign_wrap", "open_wrap", "home_answer"))
+    finished = []
+    fa_finish = prop.fa_finish
+    monkeypatch.setattr(prop, "fa_finish", lambda *a: finished.append(a[3]) or fa_finish(*a))
+
+    assert not attack_ha_impersonation(adapter, view, rng).succeeded
+    assert [(name, honest) for name, honest, _a, _r in calls] == [
+        ("foreign_wrap", True), ("open_wrap", False), ("home_answer", False),
+        ("home_answer", False)]
+    answers = [res for name, _h, _a, res in calls if name == "home_answer"]
+    assert len(finished) == 2 and all(m3 is a for m3, a in zip(finished, answers))
+
+
 def test_no_view_built_by_run_attack_holds_the_session_key(monkeypatch):
     # The forward-secrecy judge compares against the observed session's key;
     # the adversary is asked to rebuild that key, so its view must not hold it.
@@ -468,10 +516,12 @@ PLAYED_GAMES = {
 # The steps attack code still calls by hand with a message it built itself:
 # the traceability game issues its second user's card from the registration
 # request, and the proposed HA-impersonation game retries `fa_finish` on one
-# foreign session, which no session can do.
+# foreign session, which no session can do (`fa_process_login` wraps the rogue
+# login with `foreign_wrap`).
 HAND_WRITTEN = {
     ("proposed", "traceability", "register_issue"),
     ("proposed", "ha-impersonation", "fa_process_login"),
+    ("proposed", "ha-impersonation", "foreign_wrap"),
     ("proposed", "ha-impersonation", "fa_finish"),
 }
 

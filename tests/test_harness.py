@@ -6,14 +6,16 @@ import copy
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from roamauth import curve as ec
 from roamauth import harness, instrument
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth.attacks import AttackOutcome
-from roamauth.curve import INFINITY
+from roamauth.curve import INFINITY, Point
 from roamauth.harness import (
     CostReport,
     Transcript,
@@ -24,7 +26,6 @@ from roamauth.harness import (
     measure_features,
     run_session,
 )
-from roamauth.suite import CryptoSuite
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +146,38 @@ def test_mun_bit_accounting(toy_suite):
     assert res.report.paper_bits == 4192
 
 
-@pytest.mark.parametrize("scheme,scenario,calls", [
-    ("proposed", "foreign-auth", 5),  # two login-request points, B, A in the sealed payload, B
+@pytest.mark.parametrize("scheme,scenario,points", [
+    ("proposed", "foreign-auth", 4),  # A and C of the login request, B of the challenge and accept
     ("proposed", "registration", 1),  # C of the card-issue frame on the secure channel
     ("mun", "foreign-auth", 2),
 ])
 def test_each_received_group_element_is_validated_once(toy_suite, monkeypatch,
-                                                       scheme, scenario, calls):
-    seen = []
-    validate = CryptoSuite.validate_point
-    monkeypatch.setattr(CryptoSuite, "validate_point",
-                        lambda self, pt: seen.append(pt) or validate(self, pt))
+                                                       scheme, scenario, points):
+    # each point of a delivered frame reaches is_on_curve once, in the decoder
+    sending: list[list] = []  # the points is_on_curve saw in the send under way
+    delivered: list[tuple] = []  # (points of the delivered frame, points checked)
+    on_curve, send = ec.is_on_curve, harness.MessageBus.send
+
+    def spy_on_curve(cp, pt):
+        if sending:
+            sending[-1].append(pt)
+        return on_curve(cp, pt)
+
+    def spy_send(self, *args, **kwargs):
+        sending.append([])
+        try:
+            msg = send(self, *args, **kwargs)
+        finally:
+            seen = sending.pop()
+        delivered.append(([v for v in vars(msg).values() if type(v) is Point], seen))
+        return msg
+
+    monkeypatch.setattr(ec, "is_on_curve", spy_on_curve)
+    monkeypatch.setattr(harness.MessageBus, "send", spy_send)
     assert run_session(toy_suite, scheme, scenario, random.Random(6)).outcome["success"]
-    assert len(seen) == calls
+    assert sum(len(frame) for frame, _seen in delivered) == points
+    for frame, seen in delivered:
+        assert Counter(seen) == Counter(frame)
 
 
 def test_report_total_equals_sum_of_message_bits(toy_suite):

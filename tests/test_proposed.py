@@ -259,6 +259,57 @@ def test_fa_rejects_session_mismatch(toy_suite, world, rng):
         prop.fa_finish(toy_suite, world.fa, sess_b, m3a)
 
 
+# ---------------------------------------------------------------------------
+# payloads and equations shared with the attack strategies
+
+
+def test_shared_wrap_opens_under_the_home_agents_opening(toy_suite, world, rng):
+    cp = toy_suite.cp
+    m1, _ = prop.login_begin(toy_suite, world.mu, rng)
+    enc, fa_sess = prop.foreign_wrap(toy_suite, world.fa.cert.to_bytes(cp), m1, rng)
+    sig = toy_suite.sign_over(world.fa.signer.priv, [m1.user_eph, m1.user_tag, m1.masked_id])
+    m2 = prop.ForeignChallenge(fa_sess.foreign_eph, enc, sig.to_bytes(cp))
+    assert prop.open_wrap(toy_suite, world.ha.dh.priv, m2) == (
+        fa_sess.sym_key, m1.user_eph, world.fa.cert, m1.user_tag, m1.masked_id)
+    assert isinstance(prop.ha_process(toy_suite, world.ha, m2, rng), prop.HomeAnswer)
+
+
+def test_shared_answer_is_accepted_by_fa_finish(toy_suite, world, rng):
+    m1, mu_sess = prop.login_begin(toy_suite, world.mu, rng)
+    m2, fa_sess = prop.fa_process_login(toy_suite, world.fa, m1, rng)
+    sym_key, *_ = prop.open_wrap(toy_suite, world.ha.dh.priv, m2)
+    tag = rng.randbytes(20)
+    m3 = prop.home_answer(toy_suite, sym_key, world.ha.signer.priv,
+                          world.ha.cert.to_bytes(toy_suite.cp), world.fa.foreign_id,
+                          m1.user_eph, m2.foreign_eph, tag, rng)
+    a = mu_sess.eph_priv
+    m4, fa_key = prop.fa_finish(toy_suite, world.fa, fa_sess, m3)
+    assert m4.confirm_tag == tag
+    assert fa_key == prop.login_key(toy_suite, a, m2.foreign_eph)
+
+
+def test_mask_identity_is_its_own_inverse(toy_suite, rng):
+    for _ in range(20):
+        identity = rng.randbytes(20)
+        point = toy_suite.scalar_mul(toy_suite.rand_scalar(rng), toy_suite.cp.generator)
+        masked = prop.mask_identity(toy_suite, identity, point)
+        pad = toy_suite.hash_fields([point])
+        assert masked == bytes(x ^ y for x, y in zip(identity, pad))
+        assert prop.mask_identity(toy_suite, masked, point) == identity
+
+
+@pytest.mark.parametrize("curve", ["toy_suite", "p256_suite"])
+def test_login_key_is_the_same_at_both_ends(request, curve):
+    suite = request.getfixturevalue(curve)
+    rng = random.Random(7)
+    g = suite.cp.generator
+    for _ in range(5):
+        x, y = suite.rand_scalar(rng), suite.rand_scalar(rng)
+        key = prop.login_key(suite, x, suite.scalar_mul(y, g))
+        assert key == prop.login_key(suite, y, suite.scalar_mul(x, g))
+        assert key.value == suite.hash_fields([suite.scalar_mul(x * y % suite.cp.n, g)])
+
+
 # Field-list edits to a sealed payload, applied to its raw (tag, payload)
 # fields, which encode to the same bytes as the values they hold.
 SEALED_EDITS = {
