@@ -607,9 +607,9 @@ class MunAdapter:
         if view.cdl_oracle is not None:
             a = view.cdl_oracle(m4.foreign_eph)
             if a is not None:
-                shared = ec.scalar_mul(cp, a, m5.client_eph)
                 return AttackRun(
-                    self.suite.hash_fields([shared]), honest_key, True,
+                    mun_mod.login_channel(self.suite, a, m5.client_eph).key.value,
+                    honest_key, True,
                     "discrete-log oracle recovered the ephemeral; past key reconstructed",
                 )
         return AttackRun(

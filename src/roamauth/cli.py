@@ -163,7 +163,6 @@ def cmd_handshake(args) -> int:
     (out_dir / f"{stem}-cost.json").write_text(result.report.to_json())
     (out_dir / f"{stem}-comm.csv").write_text(result.report.comm_csv())
     (out_dir / f"{stem}-ops.csv").write_text(result.report.ops_csv())
-    (out_dir / f"{stem}-transcript.bin").write_bytes(result.transcript.to_binary())
 
     if result.outcome.get("success"):
         print(f"handshake ok: {result.report.rounds} messages, "
@@ -249,13 +248,28 @@ def cmd_attack(args) -> int:
 REQUIRED_COSTS = (("proposed", "foreign-auth"), ("mun", "foreign-auth"))
 
 
-def load_cost_report(path: Path) -> harness.CostReport:
-    """Read a `handshake` cost report; a malformed record, or one whose scheme
-    and scenario are not those of its file name, raise `HarnessError`."""
+def load_cost_report(suite: CryptoSuite, path: Path) -> harness.CostReport:
+    """Read a `handshake` cost report; a malformed record, one whose scheme
+    and scenario are not those of its file name, or one from another curve
+    raise `HarnessError`."""
     report = harness.CostReport.from_json(path.read_text(encoding="utf-8"))
     if path.name != f"{report.scheme}-{report.scenario}-cost.json":
         raise harness.HarnessError(f"holds the {report.scheme} {report.scenario} report")
+    if report.curve != suite.cp.name:
+        raise harness.HarnessError(f"was run on curve {report.curve}, not {suite.cp.name}")
     return report
+
+
+def load_outcome(path: Path) -> attacks.AttackOutcome:
+    """Read an `attack` outcome; a malformed record, one naming an unknown
+    attack or scheme, or one not named `attack-<attack>-<scheme>.json` after
+    the pair it records raise `HarnessError`."""
+    outcome = attacks.AttackOutcome.from_json(path.read_text(encoding="utf-8"))
+    if outcome.attack not in attacks.ATTACK_NAMES or outcome.scheme not in harness.SCHEMES:
+        raise harness.HarnessError(f"names unknown pair {outcome.attack} vs {outcome.scheme}")
+    if path.name != f"attack-{outcome.attack}-{outcome.scheme}.json":
+        raise harness.HarnessError(f"holds the {outcome.attack} {outcome.scheme} outcome")
+    return outcome
 
 
 def cmd_report(args) -> int:
@@ -281,9 +295,9 @@ def cmd_report(args) -> int:
             if not path.exists():
                 missing.append(str(path))
                 continue
-            cost_reports[scheme] = load_cost_report(path)
+            cost_reports[scheme] = load_cost_report(suite, path)
         for path in sorted(runs.glob("attack-*.json")):
-            outcome = attacks.AttackOutcome.from_json(path.read_text(encoding="utf-8"))
+            outcome = load_outcome(path)
             outcomes.setdefault(outcome.attack, {})[outcome.scheme] = outcome
     except (OSError, ValueError, harness.HarnessError) as exc:
         print(f"error: bad run artifact {path}: {exc}", file=sys.stderr)
@@ -311,8 +325,6 @@ def cmd_report(args) -> int:
     (out_dir / "table4_operations.csv").write_text(ops)
     (out_dir / "table5_functionality.csv").write_text(matrix.to_csv())
     (out_dir / "table5_functionality.json").write_text(matrix.to_json())
-    summary = {s: json.loads(cost_reports[s].to_json()) for s in cost_reports}
-    (out_dir / "cost_summary.json").write_text(json.dumps(summary, indent=2))
 
     for scheme, rep in cost_reports.items():
         print(f"{scheme}: rounds={rep.rounds} (paper {rep.paper_rounds}), "

@@ -154,12 +154,6 @@ class Transcript:
     curve: str
     entries: list[TranscriptEntry] = field(default_factory=list)
 
-    def message(self, suite: CryptoSuite, index: int):
-        """Re-parse one captured wire payload."""
-        return wire.deserialize(suite.cp, self.entries[index].payload)
-
-    # -- export -------------------------------------------------------------
-
     def to_jsonl(self) -> str:
         lines = [
             json.dumps(
@@ -224,6 +218,10 @@ class Transcript:
         return t
 
     def to_binary(self) -> bytes:
+        """The canonical bytes of the transcript, which the frozen digests in
+        `tests/vectors/transcripts.tsv` and the benchmark's session digest
+        hash; no command writes them to a file."""
+
         def pstr(s: str) -> bytes:
             raw = s.encode()
             return len(raw).to_bytes(2, "big") + raw
@@ -239,44 +237,6 @@ class Transcript:
             out.append(e.bits.to_bytes(4, "big"))
             out.append(len(e.payload).to_bytes(4, "big") + e.payload)
         return b"".join(out)
-
-    @classmethod
-    def from_binary(cls, data: bytes) -> "Transcript":
-        """Parse `to_binary` output; a short read, trailing bytes, a name that
-        is not UTF-8 or a secure flag other than 0/1 raise `HarnessError`."""
-        if data[:5] != b"RATR\x01":
-            raise HarnessError("bad transcript magic")
-        pos = 5
-
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(data):
-                raise HarnessError(f"transcript truncated at byte {len(data)}")
-            pos += n
-            return data[pos - n : pos]
-
-        def uint(width: int) -> int:
-            return int.from_bytes(take(width), "big")
-
-        def pstr() -> str:
-            try:
-                return take(uint(2)).decode()
-            except UnicodeDecodeError as exc:
-                raise HarnessError(f"transcript name is not UTF-8: {exc}") from exc
-
-        t = cls(pstr(), pstr(), pstr())
-        for _ in range(uint(4)):
-            sender, receiver, kind, phase = pstr(), pstr(), pstr(), pstr()
-            secure = uint(1)
-            if secure > 1:
-                raise HarnessError(f"secure flag {secure} is neither 0 nor 1")
-            bits = uint(4)
-            payload = take(uint(4))
-            t.entries.append(TranscriptEntry(sender, receiver, kind, payload, bits, phase,
-                                             bool(secure)))
-        if pos != len(data):
-            raise HarnessError(f"{len(data) - pos} trailing bytes after the transcript")
-        return t
 
 
 AdversaryHook = Callable[[str, str, str, bytes], bytes]

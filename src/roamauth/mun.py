@@ -188,6 +188,12 @@ class MunRefreshResponse:
 # registration
 
 
+def user_alias(suite: CryptoSuite, user_id: bytes, password_digest: bytes,
+               home_id: bytes) -> bytes:
+    """r_MU = h(ID || PW) xor ID_HA, the alias the home agent scans its registry for."""
+    return suite.xor160(suite.hash_fields([user_id, password_digest]), home_id)
+
+
 def mun_register(
     suite: CryptoSuite,
     ha: MunHAState,
@@ -199,9 +205,9 @@ def mun_register(
     everything back; it also records the pair it will later scan for."""
     home_nonce = suite.rand_bytes(rng, NONCE_BYTES)
     password_digest = suite.hash_fields([client_nonce, home_nonce])
-    user_alias = suite.xor160(suite.hash_fields([user_id, password_digest]), ha.home_id)
+    alias = user_alias(suite, user_id, password_digest, ha.home_id)
     ha.registry[user_id] = password_digest
-    return MunCredentials(user_id, user_alias, password_digest, home_nonce, ha.home_id)
+    return MunCredentials(user_id, alias, password_digest, home_nonce, ha.home_id)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,7 @@ def mun_ha_auth(suite: CryptoSuite, ha: MunHAState, m2: MunForward) -> MunHomeRe
     reply contains h(PW || N_FA) in the clear."""
     password_digest = None
     for user_id, digest in ha.registry.items():
-        if suite.xor160(suite.hash_fields([user_id, digest]), ha.home_id) == m2.user_alias:
+        if user_alias(suite, user_id, digest, ha.home_id) == m2.user_alias:
             password_digest = digest
             break
     if password_digest is None:
@@ -283,16 +289,22 @@ def mun_mu_respond(
     return client_finish(suite, m4, rng)
 
 
+def login_channel(suite: CryptoSuite, priv: int, pub: Point) -> MunChannel:
+    """The login key h(x * Y) and shared point x * Y, from either end's ephemeral."""
+    shared = suite.scalar_mul(priv, pub)
+    return MunChannel(SessionKey(suite.hash_fields([shared])), shared)
+
+
 def client_finish(suite: CryptoSuite, m4: MunForeignReply,
                   rng: random.Random) -> tuple[MunClientFinish, MunChannel]:
     """The user's last flight {bP, f_K(N_FA || bP)} with K = h(b * aP); it
     needs no secret of the user."""
     b = suite.rand_scalar(rng)
     client_eph = suite.scalar_mul(b, suite.cp.generator, precomputable=True)
-    shared = suite.scalar_mul(b, m4.foreign_eph)
-    key = SessionKey(suite.hash_fields([shared]))
-    finish_mac = suite.mac160(key.value, suite.encode([m4.bundle_foreign_nonce, client_eph]))
-    return MunClientFinish(client_eph, finish_mac), MunChannel(key, shared)
+    channel = login_channel(suite, b, m4.foreign_eph)
+    finish_mac = suite.mac160(channel.key.value,
+                              suite.encode([m4.bundle_foreign_nonce, client_eph]))
+    return MunClientFinish(client_eph, finish_mac), channel
 
 
 def mun_fa_verify(
@@ -300,12 +312,12 @@ def mun_fa_verify(
 ) -> MunChannel:
     if session.eph_priv is None:
         raise MunError("foreign session has no ephemeral key")
-    shared = suite.scalar_mul(session.eph_priv, m5.client_eph)
-    key = SessionKey(suite.hash_fields([shared]))
-    expected = suite.mac160(key.value, suite.encode([session.foreign_nonce, m5.client_eph]))
+    channel = login_channel(suite, session.eph_priv, m5.client_eph)
+    expected = suite.mac160(channel.key.value,
+                            suite.encode([session.foreign_nonce, m5.client_eph]))
     if not hmac.compare_digest(expected, m5.finish_mac):
         raise MunAuthError("finish MAC mismatch; user not authenticated")
-    return MunChannel(key, shared)
+    return channel
 
 
 # ---------------------------------------------------------------------------

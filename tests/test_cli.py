@@ -63,7 +63,7 @@ def test_handshake_writes_every_file(tmp_path):
     assert run("handshake", "--scheme", "mun", "--curve", "toy", "--out", str(out)) == EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == [
         f"mun-foreign-auth-{suffix}"
-        for suffix in ("comm.csv", "cost.json", "ops.csv", "transcript.bin", "transcript.jsonl")
+        for suffix in ("comm.csv", "cost.json", "ops.csv", "transcript.jsonl")
     ]
 
 
@@ -89,7 +89,7 @@ def test_handshake_deterministic_under_seed(tmp_path):
         out = tmp_path / name
         assert run("handshake", "--scheme", "mun", "--curve", "toy",
                    "--seed", "77", "--out", str(out)) == EXIT_OK
-        outs.append((out / "mun-foreign-auth-transcript.bin").read_bytes())
+        outs.append((out / "mun-foreign-auth-transcript.jsonl").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -304,24 +304,60 @@ def test_report_refuses_a_cost_report_under_another_name(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_full_report_pipeline(tmp_path, toy_suite):
-    runs = tmp_path / "runs"
-    # cost artifacts (toy curve keeps this fast; the verdicts used by the
-    # matrix come from the attack outcome files, which we produce with the
-    # production curve in the acceptance suite)
-    assert run("handshake", "--scheme", "proposed", "--curve", "toy",
-               "--seed", "9", "--out", str(runs)) == EXIT_OK
-    assert run("handshake", "--scheme", "mun", "--curve", "toy",
-               "--seed", "9", "--out", str(runs)) == EXIT_OK
-    # attack outcome artifacts
-    from roamauth import attacks as atk
+def _toy_runs(runs, toy_suite, trials: int):
+    """Fill `runs` with every artifact `report` reads, from seeded toy runs:
+    both schemes' foreign-auth cost reports and all sixteen attack outcomes."""
     import random
 
-    results = atk.run_attack_matrix(toy_suite, random.Random(11), trials=40)
-    for name, per in results.items():
+    from roamauth import attacks as atk
+
+    for scheme in ("proposed", "mun"):
+        assert run("handshake", "--scheme", scheme, "--curve", "toy",
+                   "--seed", "9", "--out", str(runs)) == EXIT_OK
+    for name, per in atk.run_attack_matrix(toy_suite, random.Random(11), trials=trials).items():
         for scheme, outcome in per.items():
             (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
 
+
+@pytest.fixture(scope="module")
+def toy_runs(tmp_path_factory, toy_suite):
+    runs = tmp_path_factory.mktemp("toy") / "runs"
+    _toy_runs(runs, toy_suite, trials=1)
+    return runs
+
+
+def test_report_refuses_cost_reports_of_another_curve(toy_runs, tmp_path, capsys):
+    rep = tmp_path / "rep"
+    assert run("report", "--runs-dir", str(toy_runs), "--out", str(rep)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad run artifact" in err and "not p256" in err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("name,edits", [
+    ("attack-replay-mun2.json", {"succeeded": False}),   # a copy under another name
+    ("attack-replay-munx.json", {"scheme": "munx"}),     # an unknown scheme
+    ("attack-replay-typo-mun.json", {"attack": "replay-typo"}),  # an unknown attack
+])
+def test_report_refuses_an_outcome_it_cannot_vouch_for(toy_runs, tmp_path, capsys, name, edits):
+    outcome = json.loads((toy_runs / "attack-replay-mun.json").read_text())
+    extra = toy_runs / name
+    extra.write_text(json.dumps({**outcome, **edits}))
+    try:
+        assert run("report", "--runs-dir", str(toy_runs), "--out", str(tmp_path / "rep"),
+                   "--curve", "toy", "--allow-toy") == EXIT_USAGE
+    finally:
+        extra.unlink()
+    err = capsys.readouterr().err
+    assert "bad run artifact" in err and name in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_full_report_pipeline(tmp_path, toy_suite):
+    runs = tmp_path / "runs"
+    # toy artifacts keep this fast; the acceptance suite checks the verdicts
+    # on the production curve
+    _toy_runs(runs, toy_suite, trials=40)
     rep = tmp_path / "rep"
     assert run("report", "--runs-dir", str(runs), "--out", str(rep),
                "--curve", "toy", "--allow-toy", "--seed", "11") == EXIT_OK
@@ -337,34 +373,22 @@ def test_full_report_pipeline(tmp_path, toy_suite):
     assert all(r["measured"]["proposed"] == "Yes" for r in matrix["rows"])
     assert by_key["no-verification-table"]["flag"] is not None
     assert sorted(p.name for p in rep.iterdir()) == [
-        "cost_summary.json", "table3_communication.csv", "table4_operations.csv",
+        "table3_communication.csv", "table4_operations.csv",
         "table5_functionality.csv", "table5_functionality.json",
     ]
 
 
 @pytest.mark.parametrize("command", ["register", "handshake", "attack", "report"])
-def test_unwritable_output_is_usage_error(tmp_path, capsys, toy_suite, command):
-    import random
-
-    from roamauth import attacks as atk
-
+def test_unwritable_output_is_usage_error(tmp_path, capsys, toy_runs, command):
     afile = tmp_path / "afile"
     afile.write_text("")
-    runs = tmp_path / "runs"
-    if command == "report":
-        for scheme in ("proposed", "mun"):
-            assert run("handshake", "--scheme", scheme, "--curve", "toy",
-                       "--out", str(runs)) == EXIT_OK
-        for name, per in atk.run_attack_matrix(toy_suite, random.Random(1), trials=1).items():
-            for scheme, outcome in per.items():
-                (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
     argv = {
         "register": ["register", "--id", "a", "--password", "x", "--curve", "toy",
                      "--out", str(tmp_path), "--force"],
         "handshake": ["handshake", "--curve", "toy", "--out", str(afile)],
         "attack": ["attack", "--attack", "replay", "--scheme", "proposed", "--curve", "toy",
                    "--expect", "success", "--out", str(afile / "x.json")],
-        "report": ["report", "--runs-dir", str(runs), "--curve", "toy", "--allow-toy",
+        "report": ["report", "--runs-dir", str(toy_runs), "--curve", "toy", "--allow-toy",
                    "--out", str(afile)],
     }[command]
     capsys.readouterr()
