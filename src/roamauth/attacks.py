@@ -219,8 +219,8 @@ class ProposedAdapter:
         if self._other_mu is None:
             uid = identity_from_label("mu-other")
             password = b"other-password"
-            req, salt = prop.register_request(self.suite, uid, password, rng)
             with honest_step():
+                req, salt = prop.register_request(self.suite, uid, password, rng)
                 card = prop.register_issue(self.suite, self.world.ha, req)
             self._other_mu = prop.MUState(uid, password, prop.card_finalize(card, salt))
         return self._other_mu

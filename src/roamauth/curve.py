@@ -13,9 +13,10 @@ Which arithmetic serves which profile:
   identity, an off-curve point), and everything else here, is the
   pure-Python code in this module.
 * P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
-  to OpenSSL (through `cryptography`), and `suite` does the same for ECDSA
-  verification.  Every other input, and everything else here (point
-  addition, encoding, validation), stays in pure Python.
+  to one OpenSSL `EC_POINT_mul`, bound through ctypes in the libcrypto that
+  `hashlib` already loads.  `suite` verifies ECDSA in `cryptography`'s
+  OpenSSL.  Every other input, and everything else here (point addition,
+  encoding, validation), stays in pure Python.
 
 The pure-Python multiplication, `_scalar_mul_ref`, is the reference both fast
 paths are tested against.  The adversary's discrete-log oracle,
@@ -25,14 +26,12 @@ paths are tested against.  The adversary's discrete-log oracle,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from cryptography.hazmat.primitives.asymmetric.ec import (
-    ECDH,
     SECP256R1,
     EllipticCurvePublicKey,
     EllipticCurvePublicNumbers,
-    derive_private_key,
 )
 
 
@@ -222,32 +221,103 @@ _SECP256R1 = SECP256R1()
 
 
 def p256_public_key(pt: Point) -> EllipticCurvePublicKey:
-    """OpenSSL key object for a finite on-curve P-256 point."""
+    """`cryptography` key object for a finite on-curve P-256 point; `suite`
+    verifies ECDSA signatures with it."""
     return EllipticCurvePublicNumbers(pt.x, pt.y, _SECP256R1).public_key()
 
 
+_NID_P256 = 415  # NID_X9_62_prime256v1
+_UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED
+
+
+@cache
+def _libcrypto():
+    """The libcrypto that `_hashlib` links, bound through ctypes, and its
+    P-256 group.
+
+    The symbols resolve through `_hashlib`'s own libcrypto dependency, so no
+    new library enters the process.  Loaded on the first P-256
+    multiplication: a toy-only run never imports ctypes."""
+    import ctypes
+
+    P, C, I, S = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int, ctypes.c_size_t
+    signatures = {
+        "EC_GROUP_new_by_curve_name": (P, [I]),
+        "EC_POINT_new": (P, [P]),
+        "EC_POINT_free": (None, [P]),
+        "EC_POINT_oct2point": (I, [P, P, C, S, P]),
+        "EC_POINT_mul": (I, [P, P, P, P, P, P]),
+        "EC_POINT_point2oct": (S, [P, P, I, P, S, P]),
+        "BN_bin2bn": (P, [C, I, P]),
+        "BN_clear_free": (None, [P]),
+        "ERR_clear_error": (None, []),
+    }
+    path = "_hashlib"
+    try:
+        import _hashlib
+
+        path = _hashlib.__file__
+        lib = ctypes.CDLL(path)
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError) as exc:
+        raise CurveError(f"cannot bind libcrypto through {path}: {exc}") from None
+    group = lib.EC_GROUP_new_by_curve_name(_NID_P256)
+    if not group:
+        lib.ERR_clear_error()
+        raise CurveError(f"libcrypto through {path} has no P-256 group")
+    return lib, group
+
+
 def _p256_mul(k: int, pt: Point) -> Point:
-    """k*pt on P-256 through OpenSSL, for k in [2, n-2] and pt finite and on
-    the curve.
+    """k*pt on P-256 with one OpenSSL `EC_POINT_mul`, for k in [2, n-2] and pt
+    finite and on the curve.
 
-    k*G is the public half of the private key k.  For any other pt, ECDH
-    gives only x-coordinates: x1 of P1 = k*pt and x3 of P1 + pt = (k+1)*pt.
-    With pt = (x2, y2), the chord through P1 and pt has slope
-    (y2 - y1)/(x2 - x1) and x3 = slope^2 - x1 - x2, so
+    k*G takes OpenSSL's generator path and any other pt its one-point path;
+    both run in constant time (nistz256 where built, else the Montgomery
+    ladder).  The identity, a point off the curve or with a coordinate >= p,
+    a product that is not finite and a libcrypto that cannot be loaded each
+    raise `CurveError`.  Every OpenSSL object is freed, the
+    scalar with `BN_clear_free`, and no `BN_CTX` is shared between calls."""
+    lib, group = _libcrypto()
+    import ctypes
 
-        2*y1*y2 = f(x1) + y2^2 - (x3 + x1 + x2)(x2 - x1)^2,  f(x) = x^3 + ax + b
-
-    (Brier and Joye, PKC 2002).  The range of k keeps P1 away from +-pt and
-    (k+1)*pt finite, and y2 != 0 because the group has odd order."""
-    if pt.x == P256.gx and pt.y == P256.gy:
-        pub = derive_private_key(k, _SECP256R1).public_key().public_numbers()
-        return Point(pub.x, pub.y)
-    peer = p256_public_key(pt)
-    x1 = int.from_bytes(derive_private_key(k, _SECP256R1).exchange(ECDH(), peer), "big")
-    x3 = int.from_bytes(derive_private_key(k + 1, _SECP256R1).exchange(ECDH(), peer), "big")
-    p, x2, y2 = P256.p, pt.x, pt.y
-    num = x1 * x1 * x1 + P256.a * x1 + P256.b + y2 * y2 - (x3 + x1 + x2) * (x2 - x1) ** 2
-    return Point(x1, num * pow(2 * y2, -1, p) % p)
+    w = P256.coord_bytes
+    try:
+        scalar = k.to_bytes(P256.scalar_bytes, "big")
+        encoding = None if (pt.x, pt.y) == (P256.gx, P256.gy) else point_to_bytes(P256, pt)
+    except OverflowError:
+        raise CurveError("scalar or coordinate does not fit P-256") from None
+    out = ctypes.create_string_buffer(1 + 2 * w)
+    bn = q = r = None
+    try:
+        bn = lib.BN_bin2bn(scalar, len(scalar), None)
+        r = lib.EC_POINT_new(group)
+        if not bn or not r:
+            raise CurveError("libcrypto allocation failed")
+        if encoding is None:
+            ok = lib.EC_POINT_mul(group, r, bn, None, None, None)
+        else:
+            q = lib.EC_POINT_new(group)
+            if not q:
+                raise CurveError("libcrypto allocation failed")
+            if lib.EC_POINT_oct2point(group, q, encoding, len(encoding), None) != 1:
+                raise CurveError("point is not on the curve")
+            ok = lib.EC_POINT_mul(group, r, None, q, bn, None)
+        if ok != 1:
+            raise CurveError("EC_POINT_mul failed")
+        if lib.EC_POINT_point2oct(group, r, _UNCOMPRESSED, out, len(out), None) != len(out):
+            raise CurveError("product is not a finite point")
+    except CurveError:
+        lib.ERR_clear_error()
+        raise
+    finally:
+        lib.EC_POINT_free(q)
+        lib.EC_POINT_free(r)
+        lib.BN_clear_free(bn)
+    raw = out.raw
+    return Point(int.from_bytes(raw[1 : 1 + w], "big"), int.from_bytes(raw[1 + w :], "big"))
 
 
 def point_to_bytes(cp: CurveParams, pt: Point) -> bytes:

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from roamauth import attacks, harness
+from roamauth import attacks, harness, instrument
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth.attacks import (
@@ -25,6 +25,7 @@ from roamauth.attacks import (
     attack_mu_impersonation,
     attack_offline_guessing,
     attack_replay_session_key,
+    attack_traceability,
     default_dictionary,
     link_pair,
     make_adapter,
@@ -76,6 +77,14 @@ def test_traceability_accuracies(matrix):
     acc = matrix["traceability"]["proposed"].evidence["accuracy"]
     assert 0.4 <= acc <= 0.6
     assert matrix["traceability"]["proposed"].evidence["trials"] == 200
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_traceability_bills_every_op_to_an_honest_step(toy_suite, scheme):
+    adapter = make_adapter(scheme, toy_suite, random.Random(7))
+    instrument.reset_unattributed()
+    attack_traceability(adapter, random.Random(8), trials=20)
+    assert instrument.unattributed_ops() == 0
 
 
 def test_outcome_json_roundtrip(matrix):

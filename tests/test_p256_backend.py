@@ -1,10 +1,16 @@
 """Differential tests of the OpenSSL-backed P-256 path against the pure-Python
 reference: `curve.scalar_mul` against `curve._scalar_mul_ref`, and
 `CryptoSuite._verify_digest` against `_verify_digest_ref` with every scalar
-multiplication forced onto the reference."""
+multiplication forced onto the reference.  Then the ctypes binding itself:
+refused inputs, a failed load and the lazy import."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import _hashlib
 import pytest
 
 from roamauth import curve as ec
@@ -78,6 +84,42 @@ def test_off_curve_point_gives_the_reference_result(no_openssl_mul, points):
         off = Point(q.x, (q.y + 1) % P256.p)
         k = rng.randrange(2, N - 1)
         assert scalar_mul(P256, k, off) == ec._scalar_mul_ref(P256, k, off)
+
+
+@pytest.mark.parametrize("bad", [
+    INFINITY,
+    Point(G.x, (G.y + 1) % P256.p),  # off the curve
+    Point(G.x + P256.p, G.y),  # x >= p, wider than a coordinate
+    Point(P256.p, 0),  # x >= p, still 32 bytes wide
+], ids=["identity", "off-curve", "x-too-wide", "x-is-p"])
+def test_binding_refuses_points_off_the_group(bad):
+    with pytest.raises(ec.CurveError):
+        ec._p256_mul(5, bad)
+
+
+def test_failed_load_raises_curve_error(monkeypatch):
+    ec._libcrypto.cache_clear()
+    monkeypatch.setattr(_hashlib, "__file__", "/nonexistent/_hashlib.so")
+    try:
+        with pytest.raises(ec.CurveError, match="/nonexistent/_hashlib.so"):
+            scalar_mul(P256, 5, G)
+    finally:
+        monkeypatch.undo()
+        ec._libcrypto.cache_clear()
+    assert scalar_mul(P256, 5, G) == ec._scalar_mul_ref(P256, 5, G)
+
+
+def test_toy_session_does_not_import_ctypes():
+    code = ("import random, sys\n"
+            "from roamauth.curve import TOY\n"
+            "from roamauth.harness import run_session\n"
+            "from roamauth.suite import CryptoSuite\n"
+            "run_session(CryptoSuite(TOY), 'proposed', 'foreign-auth', random.Random(1))\n"
+            "assert 'ctypes' not in sys.modules, 'ctypes imported'\n")
+    path = [str(Path(ec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _verify_cases(suite, rng, keys):
