@@ -14,12 +14,15 @@ Which arithmetic serves which profile:
   pure-Python code in this module.
 * P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
   to one OpenSSL `EC_POINT_mul`, bound through ctypes in the libcrypto that
-  `hashlib` already loads.  `suite` verifies ECDSA in `cryptography`'s
-  OpenSSL.  Every other input, and everything else here (point addition,
-  encoding, validation), stays in pure Python.
+  `hashlib` already loads.  `mul_add`, the ECDSA verification sum
+  u1*G + u2*Q, is one two-scalar `EC_POINT_mul` on the same binding.  Every
+  other input, and everything else here (point addition, encoding,
+  validation), stays in pure Python.  This module is the only place P-256
+  arithmetic reaches OpenSSL.
 
-The pure-Python multiplication, `_scalar_mul_ref`, is the reference both fast
-paths are tested against.  The adversary's discrete-log oracle,
+The pure-Python multiplication, `_scalar_mul_ref`, is the reference the fast
+paths are tested against; on the toy curve `mul_add` is `point_add` over two
+`scalar_mul` calls.  The adversary's discrete-log oracle,
 `brute_force_dlog`, does not use the toy table.
 """
 
@@ -27,12 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-
-from cryptography.hazmat.primitives.asymmetric.ec import (
-    SECP256R1,
-    EllipticCurvePublicKey,
-    EllipticCurvePublicNumbers,
-)
 
 
 class CurveError(ValueError):
@@ -217,13 +214,18 @@ def _scalar_mul_ref(cp: CurveParams, k: int, pt: Point) -> Point:
     return Point(X * zi2 % p, Y * zi2 % p * zi % p)
 
 
-_SECP256R1 = SECP256R1()
+def mul_add(cp: CurveParams, u1: int, u2: int, pt: Point) -> Point:
+    """u1*G + u2*pt for public scalars u1 in [0, n-1] and u2 in [1, n-1] and
+    pt finite and on the curve: the sum an ECDSA verifier checks.  The sum
+    may be the identity.
 
-
-def p256_public_key(pt: Point) -> EllipticCurvePublicKey:
-    """`cryptography` key object for a finite on-curve P-256 point; `suite`
-    verifies ECDSA signatures with it."""
-    return EllipticCurvePublicNumbers(pt.x, pt.y, _SECP256R1).public_key()
+    On P-256 it is one two-scalar OpenSSL `EC_POINT_mul`, which does not run
+    in constant time, so it must never see a secret scalar.  On any other
+    curve it is `point_add` over two `scalar_mul` calls."""
+    if cp is P256:
+        return _p256_mul(u2, pt, u1)
+    return point_add(cp, scalar_mul(cp, u1, cp.generator) if u1 else INFINITY,
+                     scalar_mul(cp, u2, pt))
 
 
 _NID_P256 = 415  # NID_X9_62_prime256v1
@@ -270,32 +272,48 @@ def _libcrypto():
     return lib, group
 
 
-def _p256_mul(k: int, pt: Point) -> Point:
-    """k*pt on P-256 with one OpenSSL `EC_POINT_mul`, for k in [2, n-2] and pt
-    finite and on the curve.
+def _p256_mul(k: int, pt: Point, g: int = 0) -> Point:
+    """g*G + k*pt on P-256 with one OpenSSL `EC_POINT_mul`, for pt finite and
+    on the curve.
 
-    k*G takes OpenSSL's generator path and any other pt its one-point path;
-    both run in constant time (nistz256 where built, else the Montgomery
-    ladder).  The identity, a point off the curve or with a coordinate >= p,
-    a product that is not finite and a libcrypto that cannot be loaded each
-    raise `CurveError`.  Every OpenSSL object is freed, the
-    scalar with `BN_clear_free`, and no `BN_CTX` is shared between calls."""
+    With g == 0 it is k*pt: k*G takes OpenSSL's generator path and any other
+    pt its one-point path; both run in constant time (nistz256 where built,
+    else the Montgomery ladder), so k may be secret.  A product that is not
+    finite raises `CurveError`.
+
+    With g != 0 it is the two-scalar sum behind `mul_add`.  OpenSSL computes
+    it with an interleaved multi-scalar method that does not run in
+    constant time, so g and k must be public.  A sum that is the identity
+    returns `INFINITY`.
+
+    The identity as pt, a point off the curve or with a coordinate >= p, a
+    scalar that does not fit 32 bytes and a libcrypto that cannot be loaded
+    each raise `CurveError`.  Every OpenSSL object is freed, each scalar with
+    `BN_clear_free`, and no `BN_CTX` is shared between calls."""
+    if pt.is_infinity:
+        raise CurveError("point at infinity rejected")
     lib, group = _libcrypto()
     import ctypes
 
     w = P256.coord_bytes
     try:
         scalar = k.to_bytes(P256.scalar_bytes, "big")
-        encoding = None if (pt.x, pt.y) == (P256.gx, P256.gy) else point_to_bytes(P256, pt)
+        g_scalar = g.to_bytes(P256.scalar_bytes, "big") if g else None
+        encoding = (None if g_scalar is None and (pt.x, pt.y) == (P256.gx, P256.gy)
+                    else point_to_bytes(P256, pt))
     except OverflowError:
         raise CurveError("scalar or coordinate does not fit P-256") from None
     out = ctypes.create_string_buffer(1 + 2 * w)
-    bn = q = r = None
+    bn = bn_g = q = r = None
     try:
         bn = lib.BN_bin2bn(scalar, len(scalar), None)
         r = lib.EC_POINT_new(group)
         if not bn or not r:
             raise CurveError("libcrypto allocation failed")
+        if g_scalar is not None:
+            bn_g = lib.BN_bin2bn(g_scalar, len(g_scalar), None)
+            if not bn_g:
+                raise CurveError("libcrypto allocation failed")
         if encoding is None:
             ok = lib.EC_POINT_mul(group, r, bn, None, None, None)
         else:
@@ -304,10 +322,13 @@ def _p256_mul(k: int, pt: Point) -> Point:
                 raise CurveError("libcrypto allocation failed")
             if lib.EC_POINT_oct2point(group, q, encoding, len(encoding), None) != 1:
                 raise CurveError("point is not on the curve")
-            ok = lib.EC_POINT_mul(group, r, None, q, bn, None)
+            ok = lib.EC_POINT_mul(group, r, bn_g, q, bn, None)
         if ok != 1:
             raise CurveError("EC_POINT_mul failed")
-        if lib.EC_POINT_point2oct(group, r, _UNCOMPRESSED, out, len(out), None) != len(out):
+        size = lib.EC_POINT_point2oct(group, r, _UNCOMPRESSED, out, len(out), None)
+        if size == 1 and bn_g is not None:
+            return INFINITY
+        if size != len(out):
             raise CurveError("product is not a finite point")
     except CurveError:
         lib.ERR_clear_error()
@@ -315,6 +336,7 @@ def _p256_mul(k: int, pt: Point) -> Point:
     finally:
         lib.EC_POINT_free(q)
         lib.EC_POINT_free(r)
+        lib.BN_clear_free(bn_g)
         lib.BN_clear_free(bn)
     raw = out.raw
     return Point(int.from_bytes(raw[1 : 1 + w], "big"), int.from_bytes(raw[1 + w :], "big"))

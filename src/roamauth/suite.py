@@ -22,11 +22,8 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ec import ECDSA
-from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.hashes import SHA1, SHA256
 
 from . import curve as ec
 from . import instrument
@@ -92,17 +89,6 @@ class Certificate:
 
         subject_id, public_key, sig = unpack(cp, data, ("identity", "point", "sig"), "certificate")
         return cls(subject_id, public_key, Signature.from_bytes(cp, sig))
-
-
-# OpenSSL's prehashed ECDSA takes a digest only as long as a named hash; a
-# digest of any other length is verified by the pure-Python reference.
-_PREHASH = {20: SHA1(), 32: SHA256()}
-
-
-def _verifiable(cp: CurveParams, pub: Point, sig: Signature) -> bool:
-    """Signature scalars in [1, n-1] and a finite on-curve key."""
-    return (1 <= sig.r < cp.n and 1 <= sig.s < cp.n
-            and not pub.is_infinity and ec.is_on_curve(cp, pub))
 
 
 def _sha256(data: bytes) -> bytes:
@@ -253,38 +239,16 @@ class CryptoSuite:
             return Signature(r, s)
 
     def _verify_digest(self, pub: Point, digest: bytes, sig: Signature) -> bool:
-        """ECDSA verification; on P-256 with a 20- or 32-byte digest OpenSSL
-        checks the equation, otherwise `_verify_digest_ref` does."""
-        prehash = _PREHASH.get(len(digest))
-        if self.cp is not ec.P256 or prehash is None:
-            return self._verify_digest_ref(pub, digest, sig)
-        if not _verifiable(self.cp, pub, sig):
-            return False
-        try:
-            ec.p256_public_key(pub).verify(
-                encode_dss_signature(sig.r, sig.s), digest, ECDSA(Prehashed(prehash))
-            )
-        except InvalidSignature:
-            return False
-        return True
-
-    def _verify_digest_ref(self, pub: Point, digest: bytes, sig: Signature) -> bool:
-        """Textbook check: x(u1*G + u2*pub) mod n == r."""
+        """Textbook check: x(u1*G + u2*pub) mod n == r, for r and s in
+        [1, n-1] and a finite on-curve key; `curve.mul_add` takes the sum."""
         cp = self.cp
-        if not _verifiable(cp, pub, sig):
+        if not (1 <= sig.r < cp.n and 1 <= sig.s < cp.n
+                and not pub.is_infinity and ec.is_on_curve(cp, pub)):
             return False
         z = _bits2int(digest, cp.n)
         w = pow(sig.s, -1, cp.n)
-        u1 = z * w % cp.n
-        u2 = sig.r * w % cp.n
-        R = ec.point_add(
-            cp,
-            ec.scalar_mul(cp, u1, cp.generator) if u1 else ec.INFINITY,
-            ec.scalar_mul(cp, u2, pub),
-        )
-        if R.is_infinity:
-            return False
-        return R.x % cp.n == sig.r
+        R = ec.mul_add(cp, z * w % cp.n, sig.r * w % cp.n, pub)
+        return not R.is_infinity and R.x % cp.n == sig.r
 
     def sign_over(self, priv: int, items: list | tuple) -> Signature:
         """Signature over the 160-bit digest of a field list.  Counted as one

@@ -1,8 +1,9 @@
 """Differential tests of the OpenSSL-backed P-256 path against the pure-Python
-reference: `curve.scalar_mul` against `curve._scalar_mul_ref`, and
-`CryptoSuite._verify_digest` against `_verify_digest_ref` with every scalar
-multiplication forced onto the reference.  Then the ctypes binding itself:
-refused inputs, a failed load and the lazy import."""
+reference: `curve.scalar_mul` against `curve._scalar_mul_ref`, `curve.mul_add`
+against two reference multiplications and a `point_add`, and
+`CryptoSuite._verify_digest` against itself with `mul_add` replaced by that
+reference.  Then the ctypes binding itself: refused inputs, a failed load, the
+lazy import and the absence of any other OpenSSL binding."""
 
 import os
 import random
@@ -86,15 +87,56 @@ def test_off_curve_point_gives_the_reference_result(no_openssl_mul, points):
         assert scalar_mul(P256, k, off) == ec._scalar_mul_ref(P256, k, off)
 
 
-@pytest.mark.parametrize("bad", [
-    INFINITY,
-    Point(G.x, (G.y + 1) % P256.p),  # off the curve
-    Point(G.x + P256.p, G.y),  # x >= p, wider than a coordinate
-    Point(P256.p, 0),  # x >= p, still 32 bytes wide
-], ids=["identity", "off-curve", "x-too-wide", "x-is-p"])
-def test_binding_refuses_points_off_the_group(bad):
+def _mul_add_ref(cp, u1, u2, pt):
+    return ec.point_add(cp, ec._scalar_mul_ref(cp, u1, cp.generator) if u1 else INFINITY,
+                        ec._scalar_mul_ref(cp, u2, pt))
+
+
+def test_mul_add_matches_reference(points):
+    rng = random.Random(5)
+    q = points[1]
+    log_q = 0x5EED  # q2 = log_q*G, so u1 = -u2*log_q makes the sum the identity
+    q2 = ec._scalar_mul_ref(P256, log_q, G)
+    cases = [(rng.randrange(N), rng.randrange(1, N), points[i % len(points)])
+             for i in range(60)]
+    cases += [
+        (0, rng.randrange(1, N), q),  # u1 = 0
+        (rng.randrange(1, N), N - 1, q),  # u2 = n-1
+        (rng.randrange(1, N), rng.randrange(1, N), G),  # pt = G
+        (0, N - 1, G),
+        (1, N - 1, G),  # the identity: G - G
+        (-7 * log_q % N, 7, q2),  # the identity: -7*q2 + 7*q2
+    ]
+    for u1, u2, pt in cases:
+        assert ec.mul_add(P256, u1, u2, pt) == _mul_add_ref(P256, u1, u2, pt), (u1, u2)
+    assert ec.mul_add(P256, 1, N - 1, G) == INFINITY
+    assert ec.mul_add(P256, -7 * log_q % N, 7, q2) == INFINITY
+
+
+def test_mul_add_on_toy_matches_the_group_table():
+    rng = random.Random(6)
+    n = TOY.n
+    for _ in range(200):
+        u1, u2, log_q = rng.randrange(n), rng.randrange(1, n), rng.randrange(1, n)
+        q = ec._TOY_EXP[log_q]
+        assert ec.mul_add(TOY, u1, u2, q) == ec._TOY_EXP[(u1 + u2 * log_q) % n]
+
+
+@pytest.mark.parametrize("bad, g", [
+    (bad, g)
+    for g in (0, 3)
+    for bad in (
+        INFINITY,
+        Point(G.x, (G.y + 1) % P256.p),  # off the curve
+        Point(G.x + P256.p, G.y),  # x >= p, wider than a coordinate
+        Point(P256.p, 0),  # x >= p, still 32 bytes wide
+    )
+], ids=[f"{name}{suffix}" for suffix in ("", "-g3")
+        for name in ("identity", "off-curve", "x-too-wide", "x-is-p")])
+def test_binding_refuses_points_off_the_group(bad, g):
+    """Both the one-scalar form (g == 0) and the two-scalar form refuse."""
     with pytest.raises(ec.CurveError):
-        ec._p256_mul(5, bad)
+        ec._p256_mul(5, bad, g)
 
 
 def test_failed_load_raises_curve_error(monkeypatch):
@@ -109,17 +151,35 @@ def test_failed_load_raises_curve_error(monkeypatch):
     assert scalar_mul(P256, 5, G) == ec._scalar_mul_ref(P256, 5, G)
 
 
-def test_toy_session_does_not_import_ctypes():
-    code = ("import random, sys\n"
-            "from roamauth.curve import TOY\n"
-            "from roamauth.harness import run_session\n"
-            "from roamauth.suite import CryptoSuite\n"
-            "run_session(CryptoSuite(TOY), 'proposed', 'foreign-auth', random.Random(1))\n"
-            "assert 'ctypes' not in sys.modules, 'ctypes imported'\n")
+def _run_in_subprocess(code):
     path = [str(Path(ec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_toy_session_does_not_import_ctypes():
+    _run_in_subprocess(
+        "import random, sys\n"
+        "from roamauth.curve import TOY\n"
+        "from roamauth.harness import run_session\n"
+        "from roamauth.suite import CryptoSuite\n"
+        "run_session(CryptoSuite(TOY), 'proposed', 'foreign-auth', random.Random(1))\n"
+        "assert 'ctypes' not in sys.modules, 'ctypes imported'\n")
+
+
+def test_p256_session_uses_no_other_ec_binding():
+    """P-256 math reaches OpenSSL only through `curve`'s ctypes binding."""
+    _run_in_subprocess(
+        "import random, sys\n"
+        "from roamauth.curve import P256\n"
+        "from roamauth.harness import run_session\n"
+        "from roamauth.suite import CryptoSuite\n"
+        "res = run_session(CryptoSuite(P256), 'proposed', 'foreign-auth', random.Random(1))\n"
+        "assert res.outcome['success'], res.outcome\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.startswith('cryptography.hazmat.primitives.asymmetric')]\n"
+        "assert loaded == [], loaded\n")
 
 
 def _verify_cases(suite, rng, keys):
@@ -154,28 +214,19 @@ def test_verify_matches_reference(monkeypatch):
     keys = [rng.randrange(1, N) for _ in range(6)]
     cases = _verify_cases(suite, rng, keys)
     fast = [suite._verify_digest(pub, d, sig) for pub, d, sig in cases]
-    monkeypatch.setattr(ec, "scalar_mul", ec._scalar_mul_ref)
+    monkeypatch.setattr(ec, "mul_add", _mul_add_ref)
     monkeypatch.setattr(ec, "_p256_mul", _refuse)
-    ref = [suite._verify_digest_ref(pub, d, sig) for pub, d, sig in cases]
+    ref = [suite._verify_digest(pub, d, sig) for pub, d, sig in cases]
     assert fast == ref
     assert fast.count(True) == 2 * len(keys)  # exactly the untouched signatures
 
 
-def test_verify_routes_by_curve_and_digest_length(monkeypatch):
+@pytest.mark.parametrize("size", [16, 48])
+def test_any_digest_length_verifies_on_p256(size):
     suite = CryptoSuite(P256)
     priv = 0x1234567
     pub = scalar_mul(P256, priv, G)
-    routed = []
-    real = CryptoSuite._verify_digest_ref
-    monkeypatch.setattr(CryptoSuite, "_verify_digest_ref",
-                        lambda self, *a: routed.append(len(a[1])) or real(self, *a))
-    for size in (20, 32, 16, 48):
-        digest = bytes(range(size))
-        assert suite._verify_digest(pub, digest, suite._sign_digest(priv, digest))
-    assert routed == [16, 48]
-    toy = CryptoSuite(TOY)
-    digest = bytes(20)
-    toy_pub = scalar_mul(TOY, 5, TOY.generator)
-    assert toy._verify_digest(toy_pub, digest, toy._sign_digest(5, digest))
-    assert routed == [16, 48, 20]
-
+    digest = bytes(range(size))
+    sig = suite._sign_digest(priv, digest)
+    assert suite._verify_digest(pub, digest, sig)
+    assert not suite._verify_digest(pub, digest, Signature(sig.r ^ 1, sig.s))
