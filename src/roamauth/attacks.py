@@ -209,9 +209,9 @@ class ProposedAdapter:
         return wire.serialize(self.suite.cp, m1)
 
     def link_projection(self, raw: bytes) -> tuple:
-        m1 = wire.deserialize(self.suite.cp, raw)
-        cp = self.suite.cp
-        return (ec.point_to_bytes(cp, m1.user_eph), m1.masked_id, m1.user_tag)
+        user_eph, masked_id, _home_dh_pub, user_tag, _home_id = wire.payloads(
+            prop.LoginRequest, raw)
+        return (user_eph, masked_id, user_tag)
 
     def _user(self, rng: random.Random, user: str) -> prop.MUState:
         if user == "primary":
@@ -476,8 +476,8 @@ class MunAdapter:
         return wire.serialize(self.suite.cp, m1)
 
     def link_projection(self, raw: bytes) -> tuple:
-        m1 = wire.deserialize(self.suite.cp, raw)
-        return (m1.home_nonce, m1.user_alias)
+        _home_id, home_nonce, user_alias = wire.payloads(mun_mod.MunLogin, raw)
+        return (home_nonce, user_alias)
 
     def _user(self, rng: random.Random, user: str) -> mun_mod.MunCredentials:
         if user == "primary":

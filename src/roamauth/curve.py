@@ -13,12 +13,13 @@ Which arithmetic serves which profile:
   identity, an off-curve point), and everything else here, is the
   pure-Python code in this module.
 * P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
-  to one OpenSSL `EC_POINT_mul`, bound through ctypes in the libcrypto that
-  `hashlib` already loads.  `mul_add`, the ECDSA verification sum
-  u1*G + u2*Q, is one two-scalar `EC_POINT_mul` on the same binding.  Every
-  other input, and everything else here (point addition, encoding,
-  validation), stays in pure Python.  This module is the only place P-256
-  arithmetic reaches OpenSSL.
+  (the cached `generator` object is not rechecked) to one OpenSSL
+  `EC_POINT_mul`, bound through ctypes in the libcrypto that `hashlib`
+  already loads; `_p256_mul` encodes the scalar and point itself.  `mul_add`,
+  the ECDSA verification sum u1*G + u2*Q, is one two-scalar `EC_POINT_mul`
+  on the same binding.  Every other input, and everything else here (point
+  addition, encoding, validation), stays in pure Python.  No other module
+  reaches OpenSSL for P-256 arithmetic.
 
 The pure-Python multiplication, `_scalar_mul_ref`, is the reference the fast
 paths are tested against; on the toy curve `mul_add` is `point_add` over two
@@ -68,7 +69,7 @@ class CurveParams:
     gy: int
     n: int
 
-    @property
+    @cached_property
     def generator(self) -> Point:
         return Point(self.gx, self.gy)
 
@@ -175,12 +176,12 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     """k-fold sum of pt; k must lie in [1, n-1] except for the explicit
     order check k == n.
 
-    On P-256, k in [2, n-2] times a finite on-curve point runs in OpenSSL.
-    On the toy curve, k in [1, n-1] times a finite on-curve point is read
-    from the group table.  Every other call runs `_scalar_mul_ref`.  All
-    paths give the same point for every input."""
+    On P-256, k in [2, n-2] times a finite on-curve point (`cp.generator` is
+    not rechecked) runs in OpenSSL.  On the toy curve, k in [1, n-1] times a
+    finite on-curve point is read from the group table.  Every other call
+    runs `_scalar_mul_ref`.  All paths give the same point for every input."""
     if (cp is P256 and isinstance(k, int) and 2 <= k <= cp.n - 2
-            and not pt.is_infinity and is_on_curve(cp, pt)):
+            and (pt is cp.generator or (not pt.is_infinity and is_on_curve(cp, pt)))):
         return _p256_mul(k, pt)
     # Only finite on-curve points are in _TOY_LOG, so no is_on_curve call.
     if (cp is TOY and isinstance(k, int) and 1 <= k < cp.n
@@ -234,8 +235,8 @@ _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED
 
 @cache
 def _libcrypto():
-    """The libcrypto that `_hashlib` links, bound through ctypes, and its
-    P-256 group.
+    """The libcrypto that `_hashlib` links, bound through ctypes, its P-256
+    group and the ctypes type of a 65-byte uncompressed point buffer.
 
     The symbols resolve through `_hashlib`'s own libcrypto dependency, so no
     new library enters the process.  Loaded on the first P-256
@@ -269,77 +270,72 @@ def _libcrypto():
     if not group:
         lib.ERR_clear_error()
         raise CurveError(f"libcrypto through {path} has no P-256 group")
-    return lib, group
+    return lib, group, ctypes.c_char * 65
 
 
 def _p256_mul(k: int, pt: Point, g: int = 0) -> Point:
     """g*G + k*pt on P-256 with one OpenSSL `EC_POINT_mul`, for pt finite and
     on the curve.
 
-    With g == 0 it is k*pt: k*G takes OpenSSL's generator path and any other
-    pt its one-point path; both run in constant time (nistz256 where built,
-    else the Montgomery ladder), so k may be secret.  A product that is not
-    finite raises `CurveError`.
+    With g == 0 it is k*pt: a pt with G's coordinates takes OpenSSL's
+    generator path and any other pt its one-point path; both run in constant
+    time (nistz256 where built, else the Montgomery ladder), so k may be
+    secret.  A product that is not finite raises `CurveError`.
 
     With g != 0 it is the two-scalar sum behind `mul_add`.  OpenSSL computes
     it with an interleaved multi-scalar method that does not run in
     constant time, so g and k must be public.  A sum that is the identity
     returns `INFINITY`.
 
-    The identity as pt, a point off the curve or with a coordinate >= p, a
-    scalar that does not fit 32 bytes and a libcrypto that cannot be loaded
-    each raise `CurveError`.  Every OpenSSL object is freed, each scalar with
-    `BN_clear_free`, and no `BN_CTX` is shared between calls."""
+    Scalars cross as 32 and points as 65 bytes, encoded here.  The identity
+    as pt, a point off the curve or with a coordinate >= p, a scalar that
+    does not fit 32 bytes and a libcrypto that cannot be loaded each raise
+    `CurveError`.  Every OpenSSL object is freed, each scalar with
+    `BN_clear_free`, and none outlives the call, a `BN_CTX` included."""
     if pt.is_infinity:
         raise CurveError("point at infinity rejected")
-    lib, group = _libcrypto()
-    import ctypes
-
-    w = P256.coord_bytes
-    try:
-        scalar = k.to_bytes(P256.scalar_bytes, "big")
-        g_scalar = g.to_bytes(P256.scalar_bytes, "big") if g else None
-        encoding = (None if g_scalar is None and (pt.x, pt.y) == (P256.gx, P256.gy)
-                    else point_to_bytes(P256, pt))
-    except OverflowError:
-        raise CurveError("scalar or coordinate does not fit P-256") from None
-    out = ctypes.create_string_buffer(1 + 2 * w)
+    lib, group, Buffer = _libcrypto()
+    out = Buffer()
     bn = bn_g = q = r = None
     try:
-        bn = lib.BN_bin2bn(scalar, len(scalar), None)
+        bn = lib.BN_bin2bn(k.to_bytes(32, "big"), 32, None)
         r = lib.EC_POINT_new(group)
         if not bn or not r:
             raise CurveError("libcrypto allocation failed")
-        if g_scalar is not None:
-            bn_g = lib.BN_bin2bn(g_scalar, len(g_scalar), None)
-            if not bn_g:
-                raise CurveError("libcrypto allocation failed")
-        if encoding is None:
+        if not g and pt.x == P256.gx and pt.y == P256.gy:
             ok = lib.EC_POINT_mul(group, r, bn, None, None, None)
         else:
+            if g:
+                bn_g = lib.BN_bin2bn(g.to_bytes(32, "big"), 32, None)
             q = lib.EC_POINT_new(group)
-            if not q:
+            if (g and not bn_g) or not q:
                 raise CurveError("libcrypto allocation failed")
-            if lib.EC_POINT_oct2point(group, q, encoding, len(encoding), None) != 1:
+            encoding = b"\x04" + pt.x.to_bytes(32, "big") + pt.y.to_bytes(32, "big")
+            if lib.EC_POINT_oct2point(group, q, encoding, 65, None) != 1:
                 raise CurveError("point is not on the curve")
             ok = lib.EC_POINT_mul(group, r, bn_g, q, bn, None)
         if ok != 1:
             raise CurveError("EC_POINT_mul failed")
-        size = lib.EC_POINT_point2oct(group, r, _UNCOMPRESSED, out, len(out), None)
-        if size == 1 and bn_g is not None:
+        size = lib.EC_POINT_point2oct(group, r, _UNCOMPRESSED, out, 65, None)
+        if size == 1 and g:
             return INFINITY
-        if size != len(out):
+        if size != 65:
             raise CurveError("product is not a finite point")
+    except OverflowError:
+        raise CurveError("scalar or coordinate does not fit P-256") from None
     except CurveError:
         lib.ERR_clear_error()
         raise
     finally:
-        lib.EC_POINT_free(q)
+        # OpenSSL's frees accept NULL: skipping one never allocated changes nothing
+        if q:
+            lib.EC_POINT_free(q)
         lib.EC_POINT_free(r)
-        lib.BN_clear_free(bn_g)
+        if bn_g:
+            lib.BN_clear_free(bn_g)
         lib.BN_clear_free(bn)
     raw = out.raw
-    return Point(int.from_bytes(raw[1 : 1 + w], "big"), int.from_bytes(raw[1 + w :], "big"))
+    return Point(int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big"))
 
 
 def point_to_bytes(cp: CurveParams, pt: Point) -> bytes:

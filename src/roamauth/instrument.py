@@ -10,7 +10,6 @@ point multiplications.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 from dataclasses import dataclass, fields
 
@@ -37,8 +36,10 @@ class OpCounts:
     vcert: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
+
+_FIELD_NAMES = tuple(f.name for f in fields(OpCounts))
 
 _active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(
     "roamauth_opcounts", default=None
@@ -46,14 +47,26 @@ _active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(
 _unattributed = 0
 
 
-@contextlib.contextmanager
-def counting(counter: OpCounts):
+class _Counting:
+    """A `counting` block: binds the counter on entry and restores the one
+    bound before on exit, also when the block raises."""
+
+    __slots__ = ("counter", "token")
+
+    def __init__(self, counter: OpCounts):
+        self.counter = counter
+
+    def __enter__(self) -> OpCounts:
+        self.token = _active.set(self.counter)
+        return self.counter
+
+    def __exit__(self, *exc) -> None:
+        _active.reset(self.token)
+
+
+def counting(counter: OpCounts) -> _Counting:
     """Attribute suite operations to `counter` within the block."""
-    token = _active.set(counter)
-    try:
-        yield counter
-    finally:
-        _active.reset(token)
+    return _Counting(counter)
 
 
 def active_counter() -> OpCounts | None:
@@ -67,8 +80,8 @@ def record(op: str, *, pre: bool = False) -> None:
     if counter is None:
         _unattributed += 1
         return
-    setattr(counter, op, getattr(counter, op) + 1)
-    if op == "mul" and pre:
+    counter.__dict__[op] += 1
+    if pre and op == "mul":
         counter.mul_pre += 1
 
 

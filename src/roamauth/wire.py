@@ -99,6 +99,16 @@ def deserialize(cp: CurveParams, data: bytes):
     return spec.cls(*unpack(cp, data[1:], spec.kinds, spec.cls.KIND))
 
 
+def payloads(cls: type, data: bytes) -> list[bytes]:
+    """The field payloads of a `cls` frame, checking only its kind id and field
+    count.  Decoding is canonical: equal payloads are equal fields."""
+    spec = _BY_CLASS[cls]
+    raw = decode_concat(data[1:]) if data[:1] == spec.prefix else None
+    if raw is None or len(raw) != len(spec.kinds):
+        raise EncodingError(f"not a {cls.KIND} frame of {len(spec.kinds)} fields")
+    return [payload for _tag, payload in raw]
+
+
 def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> list:
     """Decode the field list `data` as exactly `kinds`: "point" is an on-curve
     point, "sig" is `2 * cp.scalar_bytes` bytes, other kinds are bytes of their

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from roamauth import attacks, harness, instrument
+from roamauth import attacks, harness, instrument, wire
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth.attacks import (
@@ -33,7 +33,8 @@ from roamauth.attacks import (
     run_attack_matrix,
     surveil,
 )
-from roamauth.curve import TOY
+from roamauth.curve import TOY, point_to_bytes
+from roamauth.encoding import EncodingError, decode_concat, encode_concat
 from roamauth.suite import CryptoSuite
 
 
@@ -267,6 +268,45 @@ def test_link_pair_on_proposed_never_links(p256_suite):
     for i in range(len(flights)):
         for j in range(i + 1, len(flights)):
             assert not link_pair(adapter, flights[i], flights[j])
+
+
+def _decoded_projection(scheme, cp, raw):
+    """The linker's fields read from the fully decoded first flight."""
+    m1 = wire.deserialize(cp, raw)
+    if scheme == "proposed":
+        return (point_to_bytes(cp, m1.user_eph), m1.masked_id, m1.user_tag)
+    return (m1.home_nonce, m1.user_alias)
+
+
+@pytest.mark.parametrize("curve", ["toy", "p256"])
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_link_projection_equals_the_decoded_fields(scheme, curve, request):
+    suite = request.getfixturevalue(f"{curve}_suite")
+    rng = random.Random(41)
+    adapter = make_adapter(scheme, suite, rng)
+    for i in range(50):
+        raw = adapter.first_flight(rng, "primary" if i % 2 else "other")
+        assert adapter.link_projection(raw) == _decoded_projection(scheme, suite.cp, raw)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "mun"])
+def test_link_projection_refuses_other_frames(toy_suite, scheme):
+    rng = random.Random(42)
+    adapter = make_adapter(scheme, toy_suite, rng)
+    other = make_adapter("mun" if scheme == "proposed" else "proposed", toy_suite, rng)
+    raw = adapter.first_flight(rng)
+    fields = decode_concat(raw[1:])
+    refused = [
+        b"",
+        other.first_flight(rng),  # a first flight of the other scheme
+        bytes([raw[0] ^ 1]) + raw[1:],  # another kind id, same fields
+        raw[:1] + encode_concat([p for _, p in fields[:-1]]),  # a field short
+        raw + encode_concat([b"extra"]),  # a field over
+        raw[:-1],  # a truncated last field
+    ]
+    for bad in refused:
+        with pytest.raises(EncodingError):
+            adapter.link_projection(bad)
 
 
 # ---------------------------------------------------------------------------

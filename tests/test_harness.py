@@ -265,6 +265,51 @@ def test_nested_counting_restores_the_outer_counter_after_a_raise(toy_suite):
     assert not harness.in_honest_step()
 
 
+def test_nested_counting_binds_and_restores_each_counter():
+    outer, inner = instrument.OpCounts(), instrument.OpCounts()
+    assert instrument.active_counter() is None
+    with instrument.counting(outer) as bound:
+        assert bound is outer and instrument.active_counter() is outer
+        with instrument.counting(inner) as bound_inner:
+            assert bound_inner is inner and instrument.active_counter() is inner
+        assert instrument.active_counter() is outer
+        with pytest.raises(KeyError):
+            with instrument.counting(inner):
+                raise KeyError("inner step")
+        assert instrument.active_counter() is outer
+    assert instrument.active_counter() is None
+
+
+def test_record_outside_any_block_is_unattributed():
+    instrument.reset_unattributed()
+    instrument.record("hash")
+    instrument.record("mul", pre=True)
+    assert instrument.unattributed_ops() == 2
+    instrument.reset_unattributed()
+    assert instrument.unattributed_ops() == 0
+
+
+def test_record_pre_marks_only_multiplications():
+    ops = instrument.OpCounts()
+    instrument.reset_unattributed()
+    with instrument.counting(ops):
+        instrument.record("mul", pre=True)
+        instrument.record("mul")
+        instrument.record("hash", pre=True)
+        instrument.record("vcert")
+    assert ops.as_dict() == {**instrument.OpCounts().as_dict(),
+                             "mul": 2, "mul_pre": 1, "hash": 1, "vcert": 1}
+    assert instrument.unattributed_ops() == 0
+
+
+def test_op_counts_dict_keys_follow_the_field_order():
+    # the cost-report JSON bytes are written in this order
+    ops = instrument.OpCounts(**{f.name: i for i, f in
+                                 enumerate(dataclasses.fields(instrument.OpCounts))})
+    assert list(ops.as_dict()) == [f.name for f in dataclasses.fields(instrument.OpCounts)]
+    assert list(ops.as_dict().values()) == list(range(len(ops.as_dict())))
+
+
 STEP_FUNCTIONS = {
     "proposed": (prop, ("login_begin", "fa_process_login", "ha_process", "fa_finish",
                         "mu_finish")),

@@ -3,7 +3,8 @@ reference: `curve.scalar_mul` against `curve._scalar_mul_ref`, `curve.mul_add`
 against two reference multiplications and a `point_add`, and
 `CryptoSuite._verify_digest` against itself with `mul_add` replaced by that
 reference.  Then the ctypes binding itself: refused inputs, a failed load, the
-lazy import and the absence of any other OpenSSL binding."""
+lazy import, the absence of any other OpenSSL binding, a free for every
+allocation and the one cached generator object."""
 
 import os
 import random
@@ -230,3 +231,89 @@ def test_any_digest_length_verifies_on_p256(size):
     sig = suite._sign_digest(priv, digest)
     assert suite._verify_digest(pub, digest, sig)
     assert not suite._verify_digest(pub, digest, Signature(sig.r ^ 1, sig.s))
+
+
+class _CountingLib:
+    """Forwards to the real binding and tracks every non-NULL point and
+    scalar handle from allocation to free."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.points: set[int] = set()
+        self.scalars: set[int] = set()
+        self.allocated = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def EC_POINT_new(self, group):
+        return self._track(self.points, self.lib.EC_POINT_new(group))
+
+    def BN_bin2bn(self, data, size, ret):
+        return self._track(self.scalars, self.lib.BN_bin2bn(data, size, ret))
+
+    def EC_POINT_free(self, handle):
+        self._release(self.points, handle)
+        self.lib.EC_POINT_free(handle)
+
+    def BN_clear_free(self, handle):
+        self._release(self.scalars, handle)
+        self.lib.BN_clear_free(handle)
+
+    def BN_free(self, handle):
+        raise AssertionError("a scalar freed without being cleared")
+
+    def _track(self, live, handle):
+        if handle:
+            assert handle not in live
+            live.add(handle)
+            self.allocated += 1
+        return handle
+
+    @staticmethod
+    def _release(live, handle):
+        if handle:
+            live.remove(handle)  # KeyError: freed twice or never allocated
+
+
+@pytest.mark.parametrize("case", ["k*G", "k*Q", "mul_add", "off-curve", "off-curve-g3",
+                                  "identity-sum", "x-too-wide"])
+def test_binding_frees_every_object_and_clears_every_scalar(monkeypatch, points, case):
+    lib, group, buffer = ec._libcrypto()
+    proxy = _CountingLib(lib)
+    monkeypatch.setattr(ec, "_libcrypto", lambda: (proxy, group, buffer))
+    q = points[2]
+    off = Point(q.x, (q.y + 1) % P256.p)
+    run = {
+        "k*G": lambda: scalar_mul(P256, 0xC0FFEE, G),
+        "k*Q": lambda: scalar_mul(P256, 0xC0FFEE, q),
+        "mul_add": lambda: ec.mul_add(P256, 0x1234, 0x5678, q),
+        "off-curve": lambda: ec._p256_mul(5, off),
+        "off-curve-g3": lambda: ec._p256_mul(5, off, 3),
+        "identity-sum": lambda: ec.mul_add(P256, 1, N - 1, G),
+        "x-too-wide": lambda: ec._p256_mul(5, Point(G.x + P256.p, G.y)),
+    }[case]
+    if case.startswith(("off-curve", "x-too")):
+        with pytest.raises(ec.CurveError):
+            run()
+    else:
+        run()
+    assert proxy.allocated >= 2
+    assert proxy.points == set() and proxy.scalars == set()
+
+
+def test_generator_is_one_object_and_both_forms_reach_openssl(monkeypatch):
+    assert P256.generator is P256.generator
+    fresh = Point(P256.gx, P256.gy)
+    assert fresh is not P256.generator and fresh == P256.generator
+    calls, checked = [], []
+    real_mul, real_check = ec._p256_mul, ec.is_on_curve
+    monkeypatch.setattr(ec, "_p256_mul", lambda k, pt: calls.append(pt) or real_mul(k, pt))
+    monkeypatch.setattr(ec, "is_on_curve", lambda cp, pt: checked.append(pt) or real_check(cp, pt))
+    k = 0xBADC0DE
+    expected = ec._scalar_mul_ref(P256, k, G)
+    assert scalar_mul(P256, k, P256.generator) == expected
+    assert checked == []  # the cached generator is not rechecked
+    assert scalar_mul(P256, k, fresh) == expected
+    assert checked == [fresh]
+    assert calls == [P256.generator, fresh] and calls[1] is fresh
