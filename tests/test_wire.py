@@ -168,6 +168,34 @@ def test_nonce_width_is_one_constant():
     assert mun_mod.NONCE_BYTES == wire.FIXED_BYTES["nonce"] == 16
 
 
+def test_messages_are_immutable_values():
+    """Every registered kind, on an instance from an honest transcript: equal
+    and hash-equal to its wire round trip, unequal to another kind, frozen,
+    built alike by keyword and by position, and refusing a missing or an
+    extra field."""
+    messages = {}
+    for case in SUPPORTED:
+        for e in honest_entries(*case):
+            messages.setdefault(e.kind, wire.deserialize(SUITE.cp, e.payload))
+    assert {type(m) for m in messages.values()} == set(KIND_IDS)
+    ordered = list(messages.values())
+    for i, msg in enumerate(ordered):
+        cls, fields = type(msg), vars(msg)
+        copy = wire.deserialize(SUITE.cp, wire.serialize(SUITE.cp, msg))
+        assert copy is not msg and copy == msg and hash(copy) == hash(msg)
+        assert msg != ordered[i - 1] and not msg == ordered[i - 1]
+        name, value = next(iter(fields.items()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(msg, name)
+        assert cls(**fields) == cls(*fields.values()) == msg
+        for args, kwargs in (([*fields.values()][:-1], {}), ([*fields.values(), value], {}),
+                             ([], {**fields, "extra": value}), ([value], fields)):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # probes: malformed frames end in classified aborts
 
