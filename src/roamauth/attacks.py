@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, get_type_hints
+from typing import Callable
 
 from . import curve as ec
 from . import mun as mun_mod
@@ -42,7 +42,6 @@ from .harness import (
     build_proposed_world,
     honest_step,
     run_session,
-    strict_record,
 )
 from .suite import CryptoSuite, identity_from_label
 
@@ -59,11 +58,6 @@ class AttackOutcome:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackOutcome":
-        """Parse `to_json` output; any other record raises `HarnessError`."""
-        return cls(**strict_record(text, get_type_hints(cls), "attack outcome"))
 
 
 @dataclass

@@ -23,7 +23,9 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 from . import attacks, harness
 from . import curve as ec
@@ -233,7 +235,7 @@ def cmd_attack(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(outcome.to_json())
+        out.write_text(outcome_record(suite, outcome, ["cdl-oracle"] if args.cdl_oracle else []))
     print(f"{outcome.attack} vs {outcome.scheme}: "
           f"{'succeeded' if outcome.succeeded else 'failed'} - {outcome.detail}")
 
@@ -260,11 +262,26 @@ def load_cost_report(suite: CryptoSuite, path: Path) -> harness.CostReport:
     return report
 
 
-def load_outcome(path: Path) -> attacks.AttackOutcome:
-    """Read an `attack` outcome; a malformed record, one naming an unknown
-    attack or scheme, or one not named `attack-<attack>-<scheme>.json` after
-    the pair it records raise `HarnessError`."""
-    outcome = attacks.AttackOutcome.from_json(path.read_text(encoding="utf-8"))
+def outcome_record(suite: CryptoSuite, outcome: attacks.AttackOutcome,
+                   grants: list[str]) -> str:
+    """The `attack --out` record: the outcome, the curve it was run on and the
+    capabilities granted beyond the game's own (`cdl-oracle`)."""
+    return json.dumps({"curve": suite.cp.name, "grants": grants, "outcome": asdict(outcome)},
+                      indent=2)
+
+
+def load_outcome(path: Path, suite: CryptoSuite) -> attacks.AttackOutcome:
+    """Read an `attack --out` record; a malformed record, one run on another
+    curve than `suite`'s or with any grant, one naming an unknown attack or
+    scheme, or one not named `attack-<attack>-<scheme>.json` after the pair it
+    records raise `HarnessError`."""
+    schema = {"curve": str, "grants": [str], "outcome": get_type_hints(attacks.AttackOutcome)}
+    rec = harness.strict_record(path.read_text(encoding="utf-8"), schema, "attack outcome")
+    if rec["curve"] != suite.cp.name:
+        raise harness.HarnessError(f"was run on curve {rec['curve']}, not {suite.cp.name}")
+    if rec["grants"]:
+        raise harness.HarnessError(f"was run with the granted {', '.join(rec['grants'])}")
+    outcome = attacks.AttackOutcome(**rec["outcome"])
     if outcome.attack not in attacks.ATTACK_NAMES or outcome.scheme not in harness.SCHEMES:
         raise harness.HarnessError(f"names unknown pair {outcome.attack} vs {outcome.scheme}")
     if path.name != f"attack-{outcome.attack}-{outcome.scheme}.json":
@@ -297,7 +314,7 @@ def cmd_report(args) -> int:
                 continue
             cost_reports[scheme] = load_cost_report(suite, path)
         for path in sorted(runs.glob("attack-*.json")):
-            outcome = load_outcome(path)
+            outcome = load_outcome(path, suite)
             outcomes.setdefault(outcome.attack, {})[outcome.scheme] = outcome
     except (OSError, ValueError, harness.HarnessError) as exc:
         print(f"error: bad run artifact {path}: {exc}", file=sys.stderr)

@@ -9,9 +9,9 @@ Which arithmetic serves which profile:
 
 * toy: `scalar_mul` with k in [1, n-1] on a finite on-curve point is a
   table lookup, k*Q = (k * log Q mod n)*G, in a table of the whole group
-  built at import by iterated addition.  Every other input (k == n, the
-  identity, an off-curve point), and everything else here, is the
-  pure-Python code in this module.
+  built by iterated addition on the first such call (`_toy_table`).  Every
+  other input (k == n, the identity, an off-curve point), and everything
+  else here, is the pure-Python code in this module.
 * P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
   (the cached `generator` object is not rechecked) to one OpenSSL
   `EC_POINT_mul`, bound through ctypes in the libcrypto that `hashlib`
@@ -183,10 +183,11 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     if (cp is P256 and isinstance(k, int) and 2 <= k <= cp.n - 2
             and (pt is cp.generator or (not pt.is_infinity and is_on_curve(cp, pt)))):
         return _p256_mul(k, pt)
-    # Only finite on-curve points are in _TOY_LOG, so no is_on_curve call.
-    if (cp is TOY and isinstance(k, int) and 1 <= k < cp.n
-            and (j := _TOY_LOG.get(pt)) is not None):
-        return _TOY_EXP[k * j % cp.n]
+    if cp is TOY and isinstance(k, int) and 1 <= k < cp.n:
+        exp, log = _toy_table()
+        # Only finite on-curve points have a log, so no is_on_curve call.
+        if (j := log.get(pt)) is not None:
+            return exp[k * j % cp.n]
     return _scalar_mul_ref(cp, k, pt)
 
 
@@ -371,6 +372,15 @@ def validate_point(cp: CurveParams, pt: Point) -> Point:
     return pt
 
 
+@cache
+def _toy_table() -> tuple[list[Point], dict[Point, int]]:
+    """The whole toy group, index k -> k*G, and each finite point's discrete
+    log: `scalar_mul` reads toy k*Q as G times k*log(Q) mod n.  Built on the
+    first toy multiplication, so a P-256 run never builds it."""
+    exp = enumerate_group(TOY)
+    return exp, {pt: k for k, pt in enumerate(exp) if k}
+
+
 def enumerate_group(cp: CurveParams) -> list[Point]:
     """All multiples of the generator, index k -> k*G (index 0 = identity).
 
@@ -428,11 +438,6 @@ P256 = CurveParams(
     gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
     n=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
 )
-
-# The whole toy group, index k -> k*G, and each finite point's discrete log:
-# `scalar_mul` reads toy k*Q as G times k*log(Q) mod n.
-_TOY_EXP = enumerate_group(TOY)
-_TOY_LOG = {pt: k for k, pt in enumerate(_TOY_EXP) if k}
 
 PROFILES: dict[str, CurveParams] = {
     "toy": TOY,

@@ -20,12 +20,11 @@ from __future__ import annotations
 import hmac
 import random
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from .curve import Point
 from .proposed import SessionKey
 from .suite import CryptoSuite
-from .wire import NONCE_BYTES, register_message, wire_field
+from .wire import NONCE_BYTES, Message
 
 
 class MunError(Exception):
@@ -92,96 +91,60 @@ class MunChannel:
 # messages
 
 
-@register_message(10)
-@dataclass(frozen=True)
-class MunRegRequest:
-    KIND: ClassVar[str] = "mun-reg-request"
-
-    user_id: bytes = wire_field("identity")
-    client_nonce: bytes = wire_field("nonce")
+class MunRegRequest(Message, kind_id=10, kind="mun-reg-request"):
+    user_id: bytes = "identity"
+    client_nonce: bytes = "nonce"
 
 
-@register_message(11)
-@dataclass(frozen=True)
-class MunRegReply:
-    KIND: ClassVar[str] = "mun-reg-reply"
-
-    user_alias: bytes = wire_field("hash")
-    password_digest: bytes = wire_field("hash")
-    home_nonce: bytes = wire_field("nonce")
-    home_id: bytes = wire_field("identity")
+class MunRegReply(Message, kind_id=11, kind="mun-reg-reply"):
+    user_alias: bytes = "hash"
+    password_digest: bytes = "hash"
+    home_nonce: bytes = "nonce"
+    home_id: bytes = "identity"
 
 
-@register_message(12)
-@dataclass(frozen=True)
-class MunLogin:
+class MunLogin(Message, kind_id=12, kind="mun-login"):
     """First flight {ID_HA, N_HA, r_MU}; identical bytes every session."""
 
-    KIND: ClassVar[str] = "mun-login"
-
-    home_id: bytes = wire_field("identity")
-    home_nonce: bytes = wire_field("nonce")
-    user_alias: bytes = wire_field("hash")
+    home_id: bytes = "identity"
+    home_nonce: bytes = "nonce"
+    user_alias: bytes = "hash"
 
 
-@register_message(13)
-@dataclass(frozen=True)
-class MunForward:
-    KIND: ClassVar[str] = "mun-forward"
-
-    foreign_id: bytes = wire_field("identity")
-    foreign_nonce: bytes = wire_field("nonce")
-    user_alias: bytes = wire_field("hash")
+class MunForward(Message, kind_id=13, kind="mun-forward"):
+    foreign_id: bytes = "identity"
+    foreign_nonce: bytes = "nonce"
+    user_alias: bytes = "hash"
 
 
-@register_message(14)
-@dataclass(frozen=True)
-class MunHomeReply:
-    KIND: ClassVar[str] = "mun-home-reply"
-
-    home_tag: bytes = wire_field("hash")  # S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA
-    pw_tag: bytes = wire_field("hash")    # P_HA = h(PW || N_FA)
+class MunHomeReply(Message, kind_id=14, kind="mun-home-reply"):
+    home_tag: bytes = "hash"  # S_HA = h(ID_FA || N_FA) xor r_MU xor P_HA
+    pw_tag: bytes = "hash"    # P_HA = h(PW || N_FA)
 
 
-@register_message(15)
-@dataclass(frozen=True)
-class MunForeignReply:
+class MunForeignReply(Message, kind_id=15, kind="mun-foreign-reply"):
     """FA -> MU flight {S_FA, aP, (S_HA || ID_FA || N_FA)}; the trailing
     bundle is plain concatenation, not encryption."""
 
-    KIND: ClassVar[str] = "mun-foreign-reply"
-
-    foreign_tag: bytes = wire_field("hash")  # S_FA = h(S_HA || N_FA || N_HA)
-    foreign_eph: Point = wire_field("point")  # a * P
-    bundle_home_tag: bytes = wire_field("hash")
-    bundle_foreign_id: bytes = wire_field("identity")
-    bundle_foreign_nonce: bytes = wire_field("nonce")
+    foreign_tag: bytes = "hash"  # S_FA = h(S_HA || N_FA || N_HA)
+    foreign_eph: Point = "point"  # a * P
+    bundle_home_tag: bytes = "hash"
+    bundle_foreign_id: bytes = "identity"
+    bundle_foreign_nonce: bytes = "nonce"
 
 
-@register_message(16)
-@dataclass(frozen=True)
-class MunClientFinish:
-    KIND: ClassVar[str] = "mun-client-finish"
-
-    client_eph: Point = wire_field("point")  # b * P
-    finish_mac: bytes = wire_field("hash")   # f_K(N_FA || bP)
+class MunClientFinish(Message, kind_id=16, kind="mun-client-finish"):
+    client_eph: Point = "point"  # b * P
+    finish_mac: bytes = "hash"   # f_K(N_FA || bP)
 
 
-@register_message(17)
-@dataclass(frozen=True)
-class MunRefreshRequest:
-    KIND: ClassVar[str] = "mun-refresh-request"
-
-    client_eph: Point = wire_field("point")
+class MunRefreshRequest(Message, kind_id=17, kind="mun-refresh-request"):
+    client_eph: Point = "point"
 
 
-@register_message(18)
-@dataclass(frozen=True)
-class MunRefreshResponse:
-    KIND: ClassVar[str] = "mun-refresh-response"
-
-    responder_eph: Point = wire_field("point")
-    confirm_mac: bytes = wire_field("hash")  # f_{K_i}(new shared point || previous shared point)
+class MunRefreshResponse(Message, kind_id=18, kind="mun-refresh-response"):
+    responder_eph: Point = "point"
+    confirm_mac: bytes = "hash"  # f_{K_i}(new shared point || previous shared point)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hmac
 import random
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 from .curve import CurveError, Point
 from .encoding import EncodingError
@@ -40,7 +39,7 @@ from .suite import (
     KeyPair,
     Signature,
 )
-from .wire import register_message, unpack, wire_field
+from .wire import Message, unpack
 
 CARD_SALT_BYTES = 16  # 128-bit card salt
 
@@ -167,102 +166,66 @@ class SessionKey:
 # messages
 
 
-@register_message(1)
-@dataclass(frozen=True)
-class RegRequest:
-    KIND: ClassVar[str] = "reg-request"
-
-    user_id: bytes = wire_field("identity")
-    masked_pw: bytes = wire_field("hash")  # h(PW || salt)
+class RegRequest(Message, kind_id=1, kind="reg-request"):
+    user_id: bytes = "identity"
+    masked_pw: bytes = "hash"  # h(PW || salt)
 
 
-@register_message(2)
-@dataclass(frozen=True)
-class CardIssue:
-    KIND: ClassVar[str] = "card-issue"
-
-    masked_key: bytes = wire_field("hash")
-    login_verifier: bytes = wire_field("hash")
-    home_dh_pub: Point = wire_field("point")
-    home_id: bytes = wire_field("identity")
+class CardIssue(Message, kind_id=2, kind="card-issue"):
+    masked_key: bytes = "hash"
+    login_verifier: bytes = "hash"
+    home_dh_pub: Point = "point"
+    home_id: bytes = "identity"
 
 
-@register_message(3)
-@dataclass(frozen=True)
-class LoginRequest:
+class LoginRequest(Message, kind_id=3, kind="login-request"):
     """First flight {A, DID, C, V1, ID_HA}; carries no plaintext identity."""
 
-    KIND: ClassVar[str] = "login-request"
-
-    user_eph: Point = wire_field("point")       # A = a * P
-    masked_id: bytes = wire_field("identity")   # DID = ID xor h(a * C)
-    home_dh_pub: Point = wire_field("point")    # C, so FA can run ECDH toward HA
-    user_tag: bytes = wire_field("hash")        # V1 = h(N || aC || ID_HA)
-    home_id: bytes = wire_field("identity")
+    user_eph: Point = "point"       # A = a * P
+    masked_id: bytes = "identity"   # DID = ID xor h(a * C)
+    home_dh_pub: Point = "point"    # C, so FA can run ECDH toward HA
+    user_tag: bytes = "hash"        # V1 = h(N || aC || ID_HA)
+    home_id: bytes = "identity"
 
 
-@register_message(4)
-@dataclass(frozen=True)
-class ForeignChallenge:
+class ForeignChallenge(Message, kind_id=4, kind="foreign-challenge"):
     """FA -> HA flight {B, W2, V2}."""
 
-    KIND: ClassVar[str] = "foreign-challenge"
-
-    foreign_eph: Point = wire_field("point")    # B = b * P
-    enc_for_home: bytes = wire_field("sym")     # E_{k(bC)}[A, Cert_FA, V1, DID]
-    foreign_sig: bytes = wire_field("sig")      # signature over h(A, V1, DID)
+    foreign_eph: Point = "point"    # B = b * P
+    enc_for_home: bytes = "sym"     # E_{k(bC)}[A, Cert_FA, V1, DID]
+    foreign_sig: bytes = "sig"      # signature over h(A, V1, DID)
 
 
-@register_message(5)
-@dataclass(frozen=True)
-class HomeAnswer:
+class HomeAnswer(Message, kind_id=5, kind="home-answer"):
     """HA -> FA flight {W3, V3}."""
 
-    KIND: ClassVar[str] = "home-answer"
-
-    enc_for_foreign: bytes = wire_field("sym")  # E_{k(cB)}[ID_FA, Cert_HA, A, B, W1]
-    home_sig: bytes = wire_field("sig")         # signature over h(Cert_HA, W1)
+    enc_for_foreign: bytes = "sym"  # E_{k(cB)}[ID_FA, Cert_HA, A, B, W1]
+    home_sig: bytes = "sig"         # signature over h(Cert_HA, W1)
 
 
-@register_message(6)
-@dataclass(frozen=True)
-class LoginAccept:
+class LoginAccept(Message, kind_id=6, kind="login-accept"):
     """Final flight FA -> MU {B, ID_FA, W1}."""
 
-    KIND: ClassVar[str] = "login-accept"
-
-    foreign_eph: Point = wire_field("point")
-    foreign_id: bytes = wire_field("identity")
-    confirm_tag: bytes = wire_field("hash")     # W1 = h(N || A || B || ID_FA || ID_HA)
+    foreign_eph: Point = "point"
+    foreign_id: bytes = "identity"
+    confirm_tag: bytes = "hash"     # W1 = h(N || A || B || ID_FA || ID_HA)
 
 
-@register_message(7)
-@dataclass(frozen=True)
-class HomeAccept:
+class HomeAccept(Message, kind_id=7, kind="home-accept"):
     """HA -> MU flight {U, W1, ID_HA} for the at-home flow."""
 
-    KIND: ClassVar[str] = "home-accept"
-
-    home_eph: Point = wire_field("point")       # U = u * P
-    confirm_tag: bytes = wire_field("hash")     # W1 = h(N || A || C || U || ID_HA)
-    home_id: bytes = wire_field("identity")
+    home_eph: Point = "point"       # U = u * P
+    confirm_tag: bytes = "hash"     # W1 = h(N || A || C || U || ID_HA)
+    home_id: bytes = "identity"
 
 
-@register_message(8)
-@dataclass(frozen=True)
-class RefreshRequest:
-    KIND: ClassVar[str] = "refresh-request"
-
-    user_eph: Point = wire_field("point")
+class RefreshRequest(Message, kind_id=8, kind="refresh-request"):
+    user_eph: Point = "point"
 
 
-@register_message(9)
-@dataclass(frozen=True)
-class RefreshResponse:
-    KIND: ClassVar[str] = "refresh-response"
-
-    responder_eph: Point = wire_field("point")
-    confirm_tag: bytes = wire_field("hash")     # h(shared point || previous key)
+class RefreshResponse(Message, kind_id=9, kind="refresh-response"):
+    responder_eph: Point = "point"
+    confirm_tag: bytes = "hash"     # h(shared point || previous key)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from functools import cache
 
 from . import curve as ec
 from . import instrument
@@ -89,6 +87,17 @@ class Certificate:
 
         subject_id, public_key, sig = unpack(cp, data, ("identity", "point", "sig"), "certificate")
         return cls(subject_id, public_key, Signature.from_bytes(cp, sig))
+
+
+@cache
+def _aead():
+    """`cryptography`'s AES-GCM class and its tag error, imported on the first
+    seal or open: loading those bindings costs more than the rest of an
+    import of this package."""
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM, InvalidTag
 
 
 def _sha256(data: bytes) -> bytes:
@@ -202,16 +211,18 @@ class CryptoSuite:
         nonce drawn from the caller's seeded `rng`."""
         instrument.record("esym")
         nonce = rng.randbytes(GCM_NONCE_BYTES)
-        return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+        aesgcm, _ = _aead()
+        return nonce + aesgcm(key).encrypt(nonce, plaintext, None)
 
     def ae_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
         instrument.record("dsym")
         if len(ciphertext) < GCM_NONCE_BYTES + 16:
             raise AuthenticationError("ciphertext too short")
         nonce, body = ciphertext[:GCM_NONCE_BYTES], ciphertext[GCM_NONCE_BYTES:]
+        aesgcm, invalid_tag = _aead()
         try:
-            return AESGCM(key).decrypt(nonce, body, None)
-        except InvalidTag as exc:
+            return aesgcm(key).decrypt(nonce, body, None)
+        except invalid_tag as exc:
             raise AuthenticationError("ciphertext failed authentication") from exc
 
     # -- MAC (keyed tag used by the legacy scheme) ------------------------------

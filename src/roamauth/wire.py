@@ -1,13 +1,13 @@
 """Message framing and nominal size accounting.
 
 Wire format per message: kind id (1 byte) || canonically encoded field list
-(see encoding.py).  Each message class is a frozen dataclass whose fields
-are all declared with `wire_field(kind)`, and is registered under an
-explicit kind id.  That one declaration drives the codec and the cost
-accounting: the nominal bit widths follow the standard accounting for this
-protocol family (group element 1024, identity 160, hash 160, random number
-128, symmetric/asymmetric encryption block 1024) regardless of the actual
-curve encoding in use.
+(see encoding.py).  Each message class subclasses `Message`, naming its
+kind id in the class statement and the cost kind of every field beside the
+field.  That one declaration drives the codec and the cost accounting: the
+nominal bit widths follow the standard accounting for this protocol family
+(group element 1024, identity 160, hash 160, random number 128,
+symmetric/asymmetric encryption block 1024) regardless of the actual curve
+encoding in use.
 
 Decoding is canonical: a frame must name a registered kind, carry exactly
 that kind's field count with the right tags, and fixed-width kinds must
@@ -17,8 +17,8 @@ payloads inside messages are decoded with the same checks (`unpack`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import FrozenInstanceError
+from typing import ClassVar
 
 from .curve import CurveError, CurveParams
 from .encoding import EncodingError, decode_concat, encode_concat, field_bytes, field_point
@@ -42,70 +42,103 @@ PARAM_BITS: dict[str, int] = {
 FIXED_BYTES: dict[str, int] = {"identity": DIGEST_BYTES, "hash": DIGEST_BYTES, "nonce": NONCE_BYTES}
 
 
-def wire_field(kind: str) -> Any:
-    """Declare a message field and its cost kind (a key of PARAM_BITS)."""
-    if kind not in PARAM_BITS:
-        raise ValueError(f"unknown wire field kind {kind!r}")
-    return field(metadata={"wire": kind})
+_BY_ID: dict[int, type[Message]] = {}
 
 
-@dataclass(frozen=True)
-class _Spec:
-    cls: type
-    prefix: bytes              # the kind id byte
-    names: tuple[str, ...]
-    kinds: tuple[str, ...]
-    bits: int
+class Message:
+    """Base of every wire message: an immutable value, equal and hashed by
+    its type and field values.
 
+    A subclass names its kind id and kind in the class statement and declares
+    each field, in wire order, as `name: type = "kind"`, the kind being a key
+    of PARAM_BITS:
 
-_BY_ID: dict[int, _Spec] = {}
-_BY_CLASS: dict[type, _Spec] = {}
+        class RefreshRequest(Message, kind_id=8, kind="refresh-request"):
+            user_eph: Point = "point"
 
+    The subclass hook records the field names, kinds and nominal bits once
+    and registers the class under its id; a duplicate id or a field of
+    unknown kind is refused.  Instances are built by position or keyword
+    with every field, keep their fields in wire order, and refuse assignment
+    with `FrozenInstanceError`; `replace` makes a changed copy."""
 
-def register_message(kind_id: int):
-    """Class decorator: make a message dataclass serializable under `kind_id`."""
+    KIND: ClassVar[str]
+    _prefix: ClassVar[bytes]  # the kind id byte
+    _names: ClassVar[tuple[str, ...]]
+    _kinds: ClassVar[tuple[str, ...]]
+    _bits: ClassVar[int]
 
-    def register(cls: type) -> type:
+    def __init_subclass__(cls, kind_id: int, kind: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
         if kind_id in _BY_ID:
             raise ValueError(f"duplicate message kind id {kind_id} "
-                             f"({cls.KIND!r} and {_BY_ID[kind_id].cls.KIND!r})")
-        spec_fields = fields(cls)
-        if any("wire" not in f.metadata for f in spec_fields):
-            raise ValueError(f"{cls.__name__}: every field must be a wire_field")
-        kinds = tuple(f.metadata["wire"] for f in spec_fields)
-        spec = _Spec(cls, bytes([kind_id]), tuple(f.name for f in spec_fields), kinds,
-                     sum(PARAM_BITS[k] for k in kinds))
-        _BY_ID[kind_id] = _BY_CLASS[cls] = spec
-        return cls
+                             f"({kind!r} and {_BY_ID[kind_id].KIND!r})")
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        kinds = tuple(cls.__dict__.get(name) for name in names)
+        for name, field_kind in zip(names, kinds):
+            if field_kind not in PARAM_BITS:
+                raise ValueError(f"{cls.__name__}.{name}: unknown wire field kind {field_kind!r}")
+            delattr(cls, name)
+        cls.KIND, cls._prefix, cls._names, cls._kinds = kind, bytes([kind_id]), names, kinds
+        cls._bits = sum(PARAM_BITS[k] for k in kinds)
+        _BY_ID[kind_id] = cls
 
-    return register
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._names
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
+                                f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+            args = (*args, *(kwargs[name] for name in rest))
+        self.__dict__.update(zip(names, args))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes) -> Message:
+        """A copy with `changes` applied; an unknown field raises `TypeError`."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
-def nominal_bits(msg) -> int:
-    return _BY_CLASS[type(msg)].bits
+def nominal_bits(msg: Message) -> int:
+    return msg._bits
 
 
-def serialize(cp: CurveParams, msg) -> bytes:
-    spec = _BY_CLASS[type(msg)]
-    return spec.prefix + encode_concat([getattr(msg, n) for n in spec.names], cp)
+def serialize(cp: CurveParams, msg: Message) -> bytes:
+    return msg._prefix + encode_concat([*msg.__dict__.values()], cp)
 
 
-def deserialize(cp: CurveParams, data: bytes):
+def deserialize(cp: CurveParams, data: bytes) -> Message:
     if not data:
         raise EncodingError("empty message")
-    spec = _BY_ID.get(data[0])
-    if spec is None:
+    cls = _BY_ID.get(data[0])
+    if cls is None:
         raise EncodingError(f"unknown message kind id {data[0]}")
-    return spec.cls(*unpack(cp, data[1:], spec.kinds, spec.cls.KIND))
+    return cls(*unpack(cp, data[1:], cls._kinds, cls.KIND))
 
 
-def payloads(cls: type, data: bytes) -> list[bytes]:
+def payloads(cls: type[Message], data: bytes) -> list[bytes]:
     """The field payloads of a `cls` frame, checking only its kind id and field
     count.  Decoding is canonical: equal payloads are equal fields."""
-    spec = _BY_CLASS[cls]
-    raw = decode_concat(data[1:]) if data[:1] == spec.prefix else None
-    if raw is None or len(raw) != len(spec.kinds):
-        raise EncodingError(f"not a {cls.KIND} frame of {len(spec.kinds)} fields")
+    raw = decode_concat(data[1:]) if data[:1] == cls._prefix else None
+    if raw is None or len(raw) != len(cls._kinds):
+        raise EncodingError(f"not a {cls.KIND} frame of {len(cls._kinds)} fields")
     return [payload for _tag, payload in raw]
 
 

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
 from roamauth import harness
 from roamauth.cli import (
-    EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, load_dictionary, main,
+    EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, build_parser, load_dictionary, main, outcome_record,
 )
 
 
@@ -177,7 +178,8 @@ def test_attack_expectations(tmp_path):
                "--curve", "toy", "--expect", "success", "--seed", "5",
                "--out", str(out)) == EXIT_OK
     rec = json.loads(out.read_text())
-    assert rec["succeeded"] is True
+    assert (rec["curve"], rec["grants"]) == ("toy-751", [])
+    assert rec["outcome"]["succeeded"] is True
     # The same attack cannot succeed against the proposed scheme.
     assert run("attack", "--attack", "offline-guess", "--scheme", "proposed",
                "--expect", "failure", "--seed", "5") == EXIT_OK
@@ -316,7 +318,8 @@ def _toy_runs(runs, toy_suite, trials: int):
                    "--seed", "9", "--out", str(runs)) == EXIT_OK
     for name, per in atk.run_attack_matrix(toy_suite, random.Random(11), trials=trials).items():
         for scheme, outcome in per.items():
-            (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
+            (runs / f"attack-{name}-{scheme}.json").write_text(
+                outcome_record(toy_suite, outcome, []))
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +343,9 @@ def test_report_refuses_cost_reports_of_another_curve(toy_runs, tmp_path, capsys
     ("attack-replay-typo-mun.json", {"attack": "replay-typo"}),  # an unknown attack
 ])
 def test_report_refuses_an_outcome_it_cannot_vouch_for(toy_runs, tmp_path, capsys, name, edits):
-    outcome = json.loads((toy_runs / "attack-replay-mun.json").read_text())
+    rec = json.loads((toy_runs / "attack-replay-mun.json").read_text())
     extra = toy_runs / name
-    extra.write_text(json.dumps({**outcome, **edits}))
+    extra.write_text(json.dumps({**rec, "outcome": {**rec["outcome"], **edits}}))
     try:
         assert run("report", "--runs-dir", str(toy_runs), "--out", str(tmp_path / "rep"),
                    "--curve", "toy", "--allow-toy") == EXIT_USAGE
@@ -350,6 +353,32 @@ def test_report_refuses_an_outcome_it_cannot_vouch_for(toy_runs, tmp_path, capsy
         extra.unlink()
     err = capsys.readouterr().err
     assert "bad run artifact" in err and name in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_refuses_a_toy_outcome_under_a_p256_report(toy_runs, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    for scheme in ("proposed", "mun"):
+        assert run("handshake", "--scheme", scheme, "--seed", "9", "--out", str(runs)) == EXIT_OK
+    name = "attack-replay-proposed.json"
+    (runs / name).write_text((toy_runs / name).read_text())
+    assert run("report", "--runs-dir", str(runs), "--out", str(tmp_path / "rep")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad run artifact" in err and name in err and "toy-751, not p256" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_refuses_an_outcome_run_with_the_oracle(toy_runs, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    shutil.copytree(toy_runs, runs)
+    out = runs / "attack-replay-proposed.json"
+    assert run("attack", "--attack", "replay", "--scheme", "proposed", "--curve", "toy",
+               "--cdl-oracle", "--expect", "success", "--seed", "6", "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["grants"] == ["cdl-oracle"]
+    assert run("report", "--runs-dir", str(runs), "--out", str(tmp_path / "rep"),
+               "--curve", "toy", "--allow-toy") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad run artifact" in err and out.name in err and "granted cdl-oracle" in err
     assert not (tmp_path / "rep").exists()
 
 

@@ -402,7 +402,7 @@ def test_a_played_party_is_billed_nothing_and_its_frames_are_recorded(toy_suite,
 def test_a_played_identity_point_is_refused_at_the_bus(toy_suite):
     def identity_challenge(fn, args):
         m2, fa_sess = fn(*args)  # the session ends at the home agent
-        return dataclasses.replace(m2, foreign_eph=INFINITY), fa_sess
+        return m2.replace(foreign_eph=INFINITY), fa_sess
 
     res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(41),
                       play={"FA": identity_challenge})

@@ -116,11 +116,11 @@ def test_mul_add_matches_reference(points):
 
 def test_mul_add_on_toy_matches_the_group_table():
     rng = random.Random(6)
-    n = TOY.n
+    n, exp = TOY.n, ec._toy_table()[0]
     for _ in range(200):
         u1, u2, log_q = rng.randrange(n), rng.randrange(1, n), rng.randrange(1, n)
-        q = ec._TOY_EXP[log_q]
-        assert ec.mul_add(TOY, u1, u2, q) == ec._TOY_EXP[(u1 + u2 * log_q) % n]
+        q = exp[log_q]
+        assert ec.mul_add(TOY, u1, u2, q) == exp[(u1 + u2 * log_q) % n]
 
 
 @pytest.mark.parametrize("bad, g", [
@@ -167,6 +167,28 @@ def test_toy_session_does_not_import_ctypes():
         "from roamauth.suite import CryptoSuite\n"
         "run_session(CryptoSuite(TOY), 'proposed', 'foreign-auth', random.Random(1))\n"
         "assert 'ctypes' not in sys.modules, 'ctypes imported'\n")
+
+
+def test_import_loads_no_aead_binding_and_builds_no_toy_table():
+    """Importing the package loads none of `cryptography`'s bindings and
+    builds no toy table; a P-256 mun session needs neither, and a toy
+    proposed session builds the table and loads AES-GCM."""
+    _run_in_subprocess(
+        "import random, sys\n"
+        "import roamauth.attacks, roamauth.cli\n"
+        "from roamauth import curve\n"
+        "from roamauth.harness import run_session\n"
+        "from roamauth.suite import CryptoSuite\n"
+        "def state():\n"
+        "    return (curve._toy_table.cache_info().currsize,\n"
+        "            [m for m in sys.modules if m.startswith('cryptography.hazmat')])\n"
+        "assert state() == (0, []), state()\n"
+        "res = run_session(CryptoSuite(curve.P256), 'mun', 'foreign-auth', random.Random(1))\n"
+        "assert res.outcome['success'] and state() == (0, []), state()\n"
+        "res = run_session(CryptoSuite(curve.TOY), 'proposed', 'foreign-auth', random.Random(1))\n"
+        "built, loaded = state()\n"
+        "assert res.outcome['success'] and built == 1, built\n"
+        "assert 'cryptography.hazmat.primitives.ciphers.aead' in loaded, loaded\n")
 
 
 def test_p256_session_uses_no_other_ec_binding():

@@ -186,13 +186,13 @@ def test_short_certificate_subject_in_the_payload_is_a_decryption_failure(
     sealed = toy_suite.ae_encrypt(
         key, toy_suite.encode([m1.user_eph, short, m1.user_tag, m1.masked_id]), rng)
     with pytest.raises(prop.DecryptionFailure, match="certificate: identity field of 19"):
-        prop.ha_process(toy_suite, world.ha, dataclasses.replace(m2, enc_for_home=sealed), rng)
+        prop.ha_process(toy_suite, world.ha, m2.replace(enc_for_home=sealed), rng)
 
 
 def test_ha_rejects_forged_signature(toy_suite, world, rng):
     m1, _ = prop.login_begin(toy_suite, world.mu, rng)
     m2, _ = prop.fa_process_login(toy_suite, world.fa, m1, rng)
-    forged = dataclasses.replace(m2, foreign_sig=rng.randbytes(len(m2.foreign_sig)))
+    forged = m2.replace(foreign_sig=rng.randbytes(len(m2.foreign_sig)))
     with pytest.raises(prop.SignatureInvalid):
         prop.ha_process(toy_suite, world.ha, forged, rng)
 
@@ -201,7 +201,7 @@ def test_ha_rejects_wrong_user_tag(toy_suite, world, rng):
     # A login built with a bad tag (e.g. wrong password upstream) must fail
     # the home agent's recomputation, after FA processing succeeded.
     m1, _ = prop.login_begin(toy_suite, world.mu, rng)
-    bad_m1 = dataclasses.replace(m1, user_tag=rng.randbytes(20))
+    bad_m1 = m1.replace(user_tag=rng.randbytes(20))
     m2, _ = prop.fa_process_login(toy_suite, world.fa, bad_m1, rng)
     with pytest.raises(prop.UserAuthFailure):
         prop.ha_process(toy_suite, world.ha, m2, rng)
@@ -213,7 +213,7 @@ def test_ha_rejects_tampered_wrap(toy_suite, world, rng):
     broken = bytearray(m2.enc_for_home)
     broken[10] ^= 0xFF
     with pytest.raises(prop.DecryptionFailure):
-        prop.ha_process(toy_suite, world.ha, dataclasses.replace(m2, enc_for_home=bytes(broken)), rng)
+        prop.ha_process(toy_suite, world.ha, m2.replace(enc_for_home=bytes(broken)), rng)
 
 
 def test_ha_rejects_uncertified_agent(toy_suite, world, rng):
@@ -234,7 +234,7 @@ def test_fa_rejects_tampered_answer(toy_suite, world, rng):
     broken[5] ^= 0x10
     with pytest.raises(prop.DecryptionFailure):
         prop.fa_finish(toy_suite, world.fa, fa_sess,
-                       dataclasses.replace(m3, enc_for_foreign=bytes(broken)))
+                       m3.replace(enc_for_foreign=bytes(broken)))
 
 
 def test_fa_rejects_signature_by_wrong_key(toy_suite, world, rng):
@@ -245,7 +245,7 @@ def test_fa_rejects_signature_by_wrong_key(toy_suite, world, rng):
     bad_sig = toy_suite.sign_over(imposter.priv, [b"anything"])
     with pytest.raises(prop.SignatureInvalid):
         prop.fa_finish(toy_suite, world.fa, fa_sess,
-                       dataclasses.replace(m3, home_sig=bad_sig.to_bytes(toy_suite.cp)))
+                       m3.replace(home_sig=bad_sig.to_bytes(toy_suite.cp)))
 
 
 def test_fa_rejects_session_mismatch(toy_suite, world, rng):
@@ -342,7 +342,7 @@ def test_ha_rejects_noncanonical_sealed_payload(toy_suite, world, rng, edit):
                        SEALED_EDITS[edit], world.fa.signer.priv, (0, 2, 3), rng)
     with pytest.raises(prop.DecryptionFailure):
         prop.ha_process(toy_suite, world.ha,
-                        dataclasses.replace(m2, enc_for_home=enc, foreign_sig=sig), rng)
+                        m2.replace(enc_for_home=enc, foreign_sig=sig), rng)
 
 
 @pytest.mark.parametrize("edit", sorted(SEALED_EDITS))
@@ -357,7 +357,7 @@ def test_fa_rejects_noncanonical_sealed_payload(toy_suite, world, rng, edit):
                        world.ha.signer.priv, (1, 4), rng)
     with pytest.raises(prop.DecryptionFailure):
         prop.fa_finish(toy_suite, world.fa, fa_sess,
-                       dataclasses.replace(m3, enc_for_foreign=enc, home_sig=sig))
+                       m3.replace(enc_for_foreign=enc, home_sig=sig))
 
 
 def test_short_masked_id_from_a_broken_agent_key_aborts_the_session(toy_suite, world):
@@ -402,11 +402,11 @@ def test_login_accept_binding(p256_suite, field):
     m4, _ = prop.fa_finish(p256_suite, world.fa, fa_sess, m3)
     if field == "foreign_eph":
         substituted = p256_suite.scalar_mul(5, p256_suite.cp.generator)
-        bad = dataclasses.replace(m4, foreign_eph=substituted)
+        bad = m4.replace(foreign_eph=substituted)
     elif field == "foreign_id":
-        bad = dataclasses.replace(m4, foreign_id=identity_from_label("evil-fa"))
+        bad = m4.replace(foreign_id=identity_from_label("evil-fa"))
     else:
-        bad = dataclasses.replace(m4, confirm_tag=bytes(20))
+        bad = m4.replace(confirm_tag=bytes(20))
     with pytest.raises(prop.ConfirmMismatch):
         prop.mu_finish(p256_suite, world.mu, mu_sess, bad)
 
@@ -503,7 +503,7 @@ def test_home_tampered_ephemeral_rejected(toy_suite, world, rng):
     m1, mu_sess = prop.home_login(toy_suite, world.mu, rng)
     hm2, _ = prop.home_ha_respond(toy_suite, world.ha, m1, rng)
     substitute = toy_suite.scalar_mul(7, toy_suite.cp.generator)
-    bad = dataclasses.replace(hm2, home_eph=substitute)
+    bad = hm2.replace(home_eph=substitute)
     if bad.home_eph == hm2.home_eph:  # pragma: no cover - astronomically unlikely
         pytest.skip("substitute collided with the real ephemeral")
     with pytest.raises(prop.ConfirmMismatch):
@@ -512,7 +512,7 @@ def test_home_tampered_ephemeral_rejected(toy_suite, world, rng):
 
 def test_home_ha_rejects_unknown_user_tag(toy_suite, world, rng):
     m1, _ = prop.home_login(toy_suite, world.mu, rng)
-    bad = dataclasses.replace(m1, user_tag=rng.randbytes(20))
+    bad = m1.replace(user_tag=rng.randbytes(20))
     with pytest.raises(prop.UserAuthFailure):
         prop.home_ha_respond(toy_suite, world.ha, bad, rng)
 

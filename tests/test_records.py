@@ -93,7 +93,8 @@ def work(tmp_path_factory):
     matrix = attacks.run_attack_matrix(SUITE, random.Random(11), trials=40)
     for name, per in matrix.items():
         for scheme, outcome in per.items():
-            (runs / f"attack-{name}-{scheme}.json").write_text(outcome.to_json())
+            (runs / f"attack-{name}-{scheme}.json").write_text(
+                cli.outcome_record(SUITE, outcome, []))
     card = root / "alice.card"
     assert _quiet(["register", "--id", "alice", "--password", "hunter2", "--seed", 3,
                    "--curve", "toy", "--out", card])[0] == cli.EXIT_OK
@@ -132,7 +133,7 @@ def _load(path, loader: str) -> bool:
             report.comm_csv()
             report.ops_csv()
         else:
-            cli.load_outcome(path)
+            cli.load_outcome(path, SUITE)
     except HarnessError:
         return False
     return True

@@ -39,7 +39,7 @@ KIND_IDS = {
     mun_mod.MunRefreshResponse: 18,
 }
 
-SPECS = {spec.cls.KIND: spec for spec in wire._BY_ID.values()}
+CLASSES = {cls.KIND: cls for cls in wire._BY_ID.values()}
 
 SUPPORTED = [
     ("proposed", "registration"), ("proposed", "foreign-auth"), ("proposed", "home-auth"),
@@ -108,8 +108,8 @@ def _only_signatures_differ(original: bytes, mutated: bytes) -> bool:
     old = wire.deserialize(SUITE.cp, original)
     new = wire.deserialize(SUITE.cp, mutated)
     return type(old) is type(new) and all(
-        getattr(old, f.name) == getattr(new, f.name)
-        for f in dataclasses.fields(old) if f.metadata["wire"] != "sig"
+        getattr(old, name) == getattr(new, name)
+        for name, kind in zip(old._names, old._kinds) if kind != "sig"
     )
 
 
@@ -130,30 +130,23 @@ def test_kind_ids_are_explicit_and_stable():
             seen[e.kind] = e.payload[0]
     assert seen == {cls.KIND: kid for cls, kid in KIND_IDS.items()}
     for cls, kid in KIND_IDS.items():
-        assert wire._BY_ID[kid].cls is cls
+        assert wire._BY_ID[kid] is cls
 
 
 def test_duplicate_kind_id_is_refused():
-    @dataclasses.dataclass(frozen=True)
-    class Clash:
-        KIND = "clash"
-        tag: bytes = wire.wire_field("hash")
-
     with pytest.raises(ValueError, match="duplicate"):
-        wire.register_message(3)(Clash)
-    assert wire._BY_ID[3].cls is prop.LoginRequest
+        class Clash(wire.Message, kind_id=3, kind="clash"):
+            tag: bytes = "hash"
+    assert wire._BY_ID[3] is prop.LoginRequest
 
 
 def test_every_field_needs_a_cost_kind():
-    @dataclasses.dataclass(frozen=True)
-    class Bare:
-        KIND = "bare"
-        tag: bytes
-
-    with pytest.raises(ValueError, match="wire_field"):
-        wire.register_message(200)(Bare)
-    with pytest.raises(ValueError, match="unknown wire field kind"):
-        wire.wire_field("blob")
+    with pytest.raises(ValueError, match="Bare.tag: unknown wire field kind None"):
+        class Bare(wire.Message, kind_id=200, kind="bare"):
+            tag: bytes
+    with pytest.raises(ValueError, match="unknown wire field kind 'blob'"):
+        class Blob(wire.Message, kind_id=200, kind="blob"):
+            tag: bytes = "blob"
     assert 200 not in wire._BY_ID
 
 
@@ -171,8 +164,8 @@ def test_nonce_width_is_one_constant():
 def test_messages_are_immutable_values():
     """Every registered kind, on an instance from an honest transcript: equal
     and hash-equal to its wire round trip, unequal to another kind, frozen,
-    built alike by keyword and by position, and refusing a missing or an
-    extra field."""
+    built alike by keyword and by position, refusing a missing or an extra
+    field, and copied with changes by `replace`.  No kind is a dataclass."""
     messages = {}
     for case in SUPPORTED:
         for e in honest_entries(*case):
@@ -180,7 +173,7 @@ def test_messages_are_immutable_values():
     assert {type(m) for m in messages.values()} == set(KIND_IDS)
     ordered = list(messages.values())
     for i, msg in enumerate(ordered):
-        cls, fields = type(msg), vars(msg)
+        cls, fields = type(msg), dict(vars(msg))
         copy = wire.deserialize(SUITE.cp, wire.serialize(SUITE.cp, msg))
         assert copy is not msg and copy == msg and hash(copy) == hash(msg)
         assert msg != ordered[i - 1] and not msg == ordered[i - 1]
@@ -194,6 +187,13 @@ def test_messages_are_immutable_values():
                              ([], {**fields, "extra": value}), ([value], fields)):
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
+        changed = msg.replace(**{name: ordered[i - 1]})
+        assert changed != msg and getattr(changed, name) is ordered[i - 1]
+        assert vars(changed) == {**fields, name: ordered[i - 1]}
+        assert vars(msg) == fields and msg == copy
+        with pytest.raises(TypeError):
+            msg.replace(extra=value)
+        assert not dataclasses.is_dataclass(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_truncated_and_extended_frames_abort(scheme, scenario, kind):
     ("proposed", "home-answer", 1),        # home agent signature
 ])
 def test_wrong_width_fields_abort(scheme, kind, index):
-    expected = 2 * TOY.scalar_bytes if SPECS[kind].kinds[index] == "sig" else 20
+    expected = 2 * TOY.scalar_bytes if CLASSES[kind]._kinds[index] == "sig" else 20
     for width in (0, expected - 1, expected + 1):
         outcome = _attack_once(scheme, "foreign-auth", kind,
                                lambda raw: _replace_field(raw, index, bytes(width)))
@@ -262,7 +262,7 @@ def _open_point_fields() -> list[tuple]:
     cases = {}
     for scheme, scenario in ATTACKABLE:
         for e in honest_entries(scheme, scenario):
-            for index, kind in enumerate(SPECS[e.kind].kinds):
+            for index, kind in enumerate(CLASSES[e.kind]._kinds):
                 if kind == "point" and not e.secure:
                     cases.setdefault((scheme, scenario, e.kind, index), e.receiver)
     return [(*case, receiver) for case, receiver in cases.items()]
