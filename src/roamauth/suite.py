@@ -92,8 +92,8 @@ class Certificate:
 @cache
 def _aead():
     """`cryptography`'s AES-GCM class and its tag error, imported on the first
-    seal or open: loading those bindings costs more than the rest of an
-    import of this package."""
+    seal or open, so that importing this package loads none of
+    `cryptography`'s bindings."""
     from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
