@@ -149,10 +149,9 @@ def _find(view: AdversaryView, cp: ec.CurveParams, cls: type):
 class ProposedAdapter:
     name = "proposed"
 
-    def __init__(self, suite: CryptoSuite, rng: random.Random,
-                 world: ProposedWorld | None = None):
+    def __init__(self, suite: CryptoSuite, rng: random.Random):
         self.suite = suite
-        self.world = world or build_proposed_world(suite, rng)
+        self.world = build_proposed_world(suite, rng)
         self._other_mu: prop.MUState | None = None
 
     # -- capability grants ----------------------------------------------------
@@ -211,12 +210,11 @@ class ProposedAdapter:
         if user == "primary":
             return self.world.mu
         if self._other_mu is None:
-            uid = identity_from_label("mu-other")
-            password = b"other-password"
-            with honest_step():
-                req, salt = prop.register_request(self.suite, uid, password, rng)
-                card = prop.register_issue(self.suite, self.world.ha, req)
-            self._other_mu = prop.MUState(uid, password, prop.card_finalize(card, salt))
+            w = self.world
+            world = ProposedWorld(w.ca, w.ha, w.fa, prop.MUState(
+                identity_from_label("mu-other"), b"other-password", None))
+            run_session(self.suite, self.name, "registration", rng, world=world)
+            self._other_mu = world.mu
         return self._other_mu
 
     # -- impersonation ------------------------------------------------------------
@@ -421,10 +419,9 @@ _FA_FOOLED = "foreign agent authenticated the adversary and shares its session k
 class MunAdapter:
     name = "mun"
 
-    def __init__(self, suite: CryptoSuite, rng: random.Random,
-                 world: MunWorld | None = None):
+    def __init__(self, suite: CryptoSuite, rng: random.Random):
         self.suite = suite
-        self.world = world or build_mun_world(suite, rng)
+        self.world = build_mun_world(suite, rng)
         self._other_cred: mun_mod.MunCredentials | None = None
 
     # -- capability grants ----------------------------------------------------
@@ -477,11 +474,9 @@ class MunAdapter:
         if user == "primary":
             return self.world.cred
         if self._other_cred is None:
-            nonce = self.suite.rand_bytes(rng, mun_mod.NONCE_BYTES)
-            with honest_step():
-                self._other_cred = mun_mod.mun_register(
-                    self.suite, self.world.ha, identity_from_label("mu-other"), nonce, rng
-                )
+            world = MunWorld(self.world.ha, self.world.fa, None)
+            run_session(self.suite, self.name, "registration", rng, world=world)
+            self._other_cred = world.cred
         return self._other_cred
 
     # -- impersonation ------------------------------------------------------------
@@ -613,11 +608,11 @@ class MunAdapter:
         )
 
 
-def make_adapter(scheme: str, suite: CryptoSuite, rng: random.Random, world=None):
+def make_adapter(scheme: str, suite: CryptoSuite, rng: random.Random):
     if scheme == "proposed":
-        return ProposedAdapter(suite, rng, world)
+        return ProposedAdapter(suite, rng)
     if scheme == "mun":
-        return MunAdapter(suite, rng, world)
+        return MunAdapter(suite, rng)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -843,7 +838,6 @@ def run_attack_matrix(
     suite: CryptoSuite,
     rng: random.Random,
     *,
-    dictionary: list[bytes] | None = None,
     trials: int = 200,
 ) -> dict[str, dict[str, AttackOutcome]]:
     """Every strategy against both schemes; the expected pattern is uniform
@@ -853,7 +847,5 @@ def run_attack_matrix(
     for scheme in ("proposed", "mun"):
         adapter = make_adapter(scheme, suite, rng)
         for name in ATTACK_NAMES:
-            results[name][scheme] = run_attack(
-                name, adapter, rng, dictionary=dictionary, trials=trials
-            )
+            results[name][scheme] = run_attack(name, adapter, rng, trials=trials)
     return results

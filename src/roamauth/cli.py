@@ -53,9 +53,13 @@ def cmd_register(args) -> int:
         return EXIT_USAGE
     suite = CryptoSuite(ec.get_profile(args.curve))
     rng = random.Random(args.seed)
-    world = harness.build_proposed_world(
-        suite, rng, user_label=args.id, password=args.password.encode()
-    )
+    try:
+        world = harness.build_proposed_world(
+            suite, rng, user_label=args.id, password=args.password.encode()
+        )
+    except prop.ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     card = world.mu.card
     record = {
         "curve": suite.cp.name,

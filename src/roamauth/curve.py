@@ -12,7 +12,7 @@ Which arithmetic serves which profile:
   built by iterated addition on the first such call (`_toy_table`).  Every
   other input (k == n, the identity, an off-curve point), and everything
   else here, is the pure-Python code in this module.
-* P-256: `scalar_mul` hands scalars in [2, n-2] on a finite on-curve point
+* P-256: `scalar_mul` hands scalars in [1, n-1] on a finite on-curve point
   (the cached `generator` object is not rechecked) to one OpenSSL
   `EC_POINT_mul`, bound through ctypes in the libcrypto that `hashlib`
   already loads; `_p256_mul` encodes the scalar and point itself.  `mul_add`,
@@ -176,11 +176,11 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     """k-fold sum of pt; k must lie in [1, n-1] except for the explicit
     order check k == n.
 
-    On P-256, k in [2, n-2] times a finite on-curve point (`cp.generator` is
-    not rechecked) runs in OpenSSL.  On the toy curve, k in [1, n-1] times a
-    finite on-curve point is read from the group table.  Every other call
-    runs `_scalar_mul_ref`.  All paths give the same point for every input."""
-    if (cp is P256 and isinstance(k, int) and 2 <= k <= cp.n - 2
+    On P-256, k in [1, n-1] times a finite on-curve point (`cp.generator` is
+    not rechecked) runs in OpenSSL.  On the toy curve, the same inputs are
+    read from the group table.  Every other call runs `_scalar_mul_ref`.  All
+    paths give the same point for every input."""
+    if (cp is P256 and isinstance(k, int) and 1 <= k < cp.n
             and (pt is cp.generator or (not pt.is_infinity and is_on_curve(cp, pt)))):
         return _p256_mul(k, pt)
     if cp is TOY and isinstance(k, int) and 1 <= k < cp.n:

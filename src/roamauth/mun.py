@@ -75,7 +75,6 @@ class MunFASession:
     home_nonce: bytes
     user_alias: bytes
     eph_priv: int | None = None
-    eph_pub: Point | None = None
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ def mun_fa_respond(
     a = suite.rand_scalar(rng)
     eph_pub = suite.scalar_mul(a, suite.cp.generator, precomputable=True)
     session.eph_priv = a
-    session.eph_pub = eph_pub
     msg = MunForeignReply(
         foreign_tag, eph_pub, m3.home_tag, fa.foreign_id, session.foreign_nonce
     )

@@ -124,7 +124,7 @@ class SmartCard:
 class MUState:
     user_id: bytes
     password: bytes
-    card: SmartCard
+    card: SmartCard | None  # None until the user registers
 
 
 @dataclass
@@ -133,7 +133,6 @@ class UserSession:
 
     eph_priv: int | None
     user_eph: Point
-    dh_point: Point        # a * C, shared with the home agent
     id_key: bytes          # h(ID || y), recovered from the card
 
     def wipe(self) -> None:
@@ -148,8 +147,6 @@ class ForeignSession:
     foreign_eph: Point
     sym_key: bytes         # derived from b * C, shared with the home agent
     user_eph: Point
-    masked_id: bytes
-    user_tag: bytes
     home_id: bytes
 
     def wipe(self) -> None:
@@ -304,10 +301,11 @@ def card_finalize(card: SmartCard, card_salt: bytes) -> SmartCard:
 def _card_check(suite: CryptoSuite, mu: MUState,
                 rejected: str = "identity/password check failed") -> bytes:
     """Card-local check of identity and password; returns h(PW || salt) or
-    raises LocalVerificationError(rejected).  No network traffic."""
+    raises LocalVerificationError(rejected), or raises it at once for a
+    missing or unsalted card.  No network traffic."""
     card = mu.card
-    if card.card_salt is None:
-        raise LocalVerificationError("card has no salt installed")
+    if card is None or card.card_salt is None:
+        raise LocalVerificationError("no card, or the card has no salt installed")
     masked_pw = suite.hash_fields([mu.password, card.card_salt])
     check = suite.hash_fields([mu.user_id, masked_pw])
     if not hmac.compare_digest(check, card.login_verifier):
@@ -347,7 +345,7 @@ def login_begin(
     masked_id = mask_identity(suite, mu.user_id, dh_point)
     user_tag = suite.hash_fields([id_key, dh_point, card.home_id])
     msg = LoginRequest(user_eph, masked_id, card.home_dh_pub, user_tag, card.home_id)
-    return msg, UserSession(a, user_eph, dh_point, id_key)
+    return msg, UserSession(a, user_eph, id_key)
 
 
 def foreign_wrap(suite: CryptoSuite, cert_bytes: bytes, m1: LoginRequest,
@@ -359,7 +357,7 @@ def foreign_wrap(suite: CryptoSuite, cert_bytes: bytes, m1: LoginRequest,
     sym_key = suite.kdf_point(suite.scalar_mul(b, m1.home_dh_pub))
     payload = suite.encode([m1.user_eph, cert_bytes, m1.user_tag, m1.masked_id])
     return suite.ae_encrypt(sym_key, payload, rng), ForeignSession(
-        b, foreign_eph, sym_key, m1.user_eph, m1.masked_id, m1.user_tag, m1.home_id)
+        b, foreign_eph, sym_key, m1.user_eph, m1.home_id)
 
 
 def fa_process_login(

@@ -563,12 +563,11 @@ PLAYED_GAMES = {
     ("mun", "ha-impersonation"), ("mun", "insider"), ("mun", "replay"),
 }
 # The steps attack code still calls by hand with a message it built itself:
-# the traceability game issues its second user's card from the registration
-# request, and the proposed HA-impersonation game retries `fa_finish` on one
-# foreign session, which no session can do (`fa_process_login` wraps the rogue
-# login with `foreign_wrap`).
+# the proposed HA-impersonation game retries `fa_finish` on one foreign
+# session, which no session can do (`fa_process_login` wraps the rogue login
+# with `foreign_wrap`).  The traceability game's first flights take no frame,
+# and its second user registers through the `registration` flow.
 HAND_WRITTEN = {
-    ("proposed", "traceability", "register_issue"),
     ("proposed", "ha-impersonation", "fa_process_login"),
     ("proposed", "ha-impersonation", "foreign_wrap"),
     ("proposed", "ha-impersonation", "fa_finish"),

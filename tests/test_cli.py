@@ -35,6 +35,14 @@ def test_register_refuses_overwrite_without_force(card, tmp_path):
                "--seed", "3", "--curve", "toy", "--out", str(card), "--force") == EXIT_OK
 
 
+def test_register_empty_password_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.card"
+    assert run("register", "--id", "a", "--password", "", "--curve", "toy",
+               "--out", str(out)) == EXIT_USAGE
+    assert "error: password must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_card_file_roundtrips(card, toy_suite):
     from roamauth.cli import load_card
 
@@ -109,6 +117,14 @@ def test_handshake_tamper_without_a_frame_is_usage_error(tmp_path, capsys, schem
     assert run("handshake", "--scheme", scheme, "--scenario", scenario, "--curve", "toy",
                "--seed", "5", "--tamper", kind, "--out", str(out)) == EXIT_USAGE
     assert f"no open {kind} frame to tamper with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_handshake_card_with_mun_is_usage_error(card, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run("handshake", "--scheme", "mun", "--curve", "toy", "--card", str(card),
+               "--password", "hunter2", "--out", str(out)) == EXIT_USAGE
+    assert "--card applies to the proposed scheme only" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -280,6 +296,16 @@ def test_report_missing_inputs_is_a_clear_error(tmp_path, capsys):
                "--out", str(tmp_path / "rep")) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "does not exist" in err
+
+
+def test_report_on_the_toy_curve_needs_allow_toy(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    rep = tmp_path / "rep"
+    assert run("report", "--runs-dir", str(runs), "--out", str(rep),
+               "--curve", "toy") == EXIT_USAGE
+    assert "pass --allow-toy to override" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_report_requires_all_artifacts(tmp_path, capsys):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from roamauth import mun
+from roamauth import mun, wire
 from roamauth.curve import P256, TOY, scalar_mul
 from roamauth.harness import build_mun_world, run_session
 from roamauth.suite import CryptoSuite, identity_from_label
@@ -166,6 +166,37 @@ def test_fa_detects_wrong_finish_mac(toy_suite, world, rng):
     bad = m5.replace(finish_mac=rng.randbytes(20))
     with pytest.raises(mun.MunAuthError):
         mun.mun_fa_verify(toy_suite, bad, sess)
+
+
+def test_fa_verify_refuses_a_session_without_ephemeral(toy_suite, world, rng):
+    *_m1234, m5, _mu, _fa = _chain(toy_suite, world, rng)
+    fresh = mun.MunFASession(rng.randbytes(16), world.cred.home_nonce, world.cred.user_alias)
+    with pytest.raises(mun.MunError, match="no ephemeral key"):
+        mun.mun_fa_verify(toy_suite, m5, fresh)
+
+
+def test_fa_aborts_on_a_tampered_home_reply(toy_suite):
+    # The flip lands in the reply's last field, P_HA.  The user recomputes the
+    # tags from its own password, so only the foreign agent's check sees it.
+    def flip_pw_tag(sender, receiver, kind, raw):
+        return raw[:-1] + bytes([raw[-1] ^ 0x01]) if kind == "mun-home-reply" else raw
+
+    res = run_session(toy_suite, "mun", "foreign-auth", random.Random(4), adversary=flip_pw_tag)
+    assert (res.outcome["party"], res.outcome["error"]) == ("FA", "MunAuthError")
+    assert "home tag mismatch" in res.outcome["abort"]
+
+
+def test_registration_session_leaves_credentials_that_log_in(toy_suite, world, rng):
+    victim = world.cred
+    res = run_session(toy_suite, "mun", "registration", rng, world=world)
+    assert res.outcome == {"success": True}
+    cred = world.cred
+    assert cred != victim and cred.user_id == identity_from_label("mu-extra")
+    assert world.ha.registry[cred.user_id] == cred.password_digest
+    login = run_session(toy_suite, "mun", "foreign-auth", rng, world=world)
+    assert login.outcome["success"]
+    assert login.transcript.entries[0].payload == wire.serialize(
+        toy_suite.cp, mun.mun_login(cred))
 
 
 def test_harness_run(toy_suite, rng):

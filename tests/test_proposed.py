@@ -117,6 +117,13 @@ def test_local_verify_correct_and_wrong(toy_suite, world):
     assert not prop.local_verify(toy_suite, wrong_id)
 
 
+@pytest.mark.parametrize("card", ["unsalted", "missing"])
+def test_login_refuses_a_card_without_salt_or_no_card(toy_suite, world, rng, card):
+    card = dataclasses.replace(world.mu.card, card_salt=None) if card == "unsalted" else None
+    with pytest.raises(prop.LocalVerificationError, match="no salt installed"):
+        prop.login_begin(toy_suite, prop.MUState(world.mu.user_id, world.mu.password, card), rng)
+
+
 def test_wrong_password_aborts_without_message(toy_suite, world, rng):
     bad = prop.MUState(world.mu.user_id, b"wrong", world.mu.card)
     with pytest.raises(prop.LocalVerificationError):
@@ -257,6 +264,23 @@ def test_fa_rejects_session_mismatch(toy_suite, world, rng):
     m2b, sess_b = prop.fa_process_login(toy_suite, world.fa, m1b, rng)
     with pytest.raises((prop.SessionMismatch, prop.DecryptionFailure)):
         prop.fa_finish(toy_suite, world.fa, sess_b, m3a)
+
+
+@pytest.mark.parametrize("swapped", ["user_eph", "foreign_eph", "foreign_id"])
+def test_fa_rejects_an_answer_that_echoes_another_session(toy_suite, world, rng, swapped):
+    # Sealed under this session's own key and signed by the real home agent,
+    # so only the echo check can refuse it.
+    m1, _ = prop.login_begin(toy_suite, world.mu, rng)
+    m2, fa_sess = prop.fa_process_login(toy_suite, world.fa, m1, rng)
+    echo = {"user_eph": m1.user_eph, "foreign_eph": m2.foreign_eph,
+            "foreign_id": world.fa.foreign_id}
+    other = toy_suite.scalar_mul(toy_suite.rand_scalar(rng), toy_suite.cp.generator)
+    echo[swapped] = identity_from_label("fa.elsewhere") if swapped == "foreign_id" else other
+    m3 = prop.home_answer(toy_suite, fa_sess.sym_key, world.ha.signer.priv,
+                          world.ha.cert.to_bytes(toy_suite.cp), echo["foreign_id"],
+                          echo["user_eph"], echo["foreign_eph"], rng.randbytes(20), rng)
+    with pytest.raises(prop.SessionMismatch):
+        prop.fa_finish(toy_suite, world.fa, fa_sess, m3)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +495,11 @@ def test_password_change_preserves_id_key(toy_suite, world, rng):
     masked_new = toy_suite.hash_fields([b"new-password", new_card.card_salt])
     id_key = toy_suite.hash_fields([world.mu.user_id, world.ha.master_secret])
     assert toy_suite.xor160(new_card.masked_key, masked_new) == id_key
+
+
+def test_password_change_rejects_an_empty_new_password(toy_suite, world, rng):
+    with pytest.raises(prop.ValidationError, match="new password must be non-empty"):
+        prop.password_change(toy_suite, world.mu, b"", rng)
 
 
 def test_password_change_rejects_wrong_old_password(toy_suite, world, rng):
