@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from . import curve as ec
 from . import mun as mun_mod
@@ -43,11 +42,11 @@ from .harness import (
     honest_step,
     run_session,
 )
+from .record import Factory, Record
 from .suite import CryptoSuite, identity_from_label
 
 
-@dataclass
-class AttackOutcome:
+class AttackOutcome(Record):
     """Verdict of one strategy against one scheme."""
 
     attack: str
@@ -57,11 +56,10 @@ class AttackOutcome:
     detail: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
 
-@dataclass
-class AdversaryView:
+class AdversaryView(Record):
     """Capabilities granted to the adversary.
 
     `transcripts` and `public_material` model the open channel (certificates
@@ -70,23 +68,22 @@ class AdversaryView:
     private scalar, or card content.
     """
 
-    transcripts: list[Transcript] = field(default_factory=list)
-    public_material: dict = field(default_factory=dict)
+    transcripts: list[Transcript] = Factory(list)
+    public_material: dict = Factory(dict)
     stolen_card: prop.SmartCard | None = None
     insider_registration: dict | None = None
     long_term_secrets: dict | None = None
     cdl_oracle: Callable[[Point], int | None] | None = None
 
 
-@dataclass
-class AttackRun:
+class AttackRun(Record):
     """Raw result of one adversarial execution, before judging."""
 
     adversary_key: bytes | None
     honest_key: bytes | None
     completed: bool
     detail: str
-    extra: dict = field(default_factory=dict)
+    extra: dict = Factory(dict)
 
 
 def _judge_key_evidence(name: str, scheme: str, run: AttackRun) -> AttackOutcome:
@@ -104,8 +101,7 @@ def _judge_key_evidence(name: str, scheme: str, run: AttackRun) -> AttackOutcome
     return AttackOutcome(name, scheme, succeeded, evidence, run.detail)
 
 
-@dataclass
-class PasswordVerifier:
+class PasswordVerifier(Record):
     """Offline predicate an attacker can evaluate per password candidate.
 
     `check` returns True/False when the transcript admits a verifier, or

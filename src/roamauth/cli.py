@@ -23,9 +23,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
 from pathlib import Path
-from typing import get_type_hints
 
 from . import attacks, harness
 from . import curve as ec
@@ -119,6 +117,9 @@ def _tamper_hook(kind: str):
 
 
 def cmd_handshake(args) -> int:
+    if (args.card is None) != (args.password is None):
+        print("error: --card and --password must be given together", file=sys.stderr)
+        return EXIT_USAGE
     if args.scenario_file:
         try:
             spec = harness.ScenarioSpec.load(args.scenario_file)
@@ -145,8 +146,7 @@ def cmd_handshake(args) -> int:
             return EXIT_USAGE
         world = harness.build_proposed_world(suite, random.Random(world_seed),
                                              user_label=label)
-        password = (args.password or "").encode()
-        world.mu = prop.MUState(identity_from_label(label), password, card)
+        world.mu = prop.MUState(identity_from_label(label), args.password.encode(), card)
 
     adversary = _tamper_hook(args.tamper) if args.tamper else None
     try:
@@ -270,7 +270,7 @@ def outcome_record(suite: CryptoSuite, outcome: attacks.AttackOutcome,
                    grants: list[str]) -> str:
     """The `attack --out` record: the outcome, the curve it was run on and the
     capabilities granted beyond the game's own (`cdl-oracle`)."""
-    return json.dumps({"curve": suite.cp.name, "grants": grants, "outcome": asdict(outcome)},
+    return json.dumps({"curve": suite.cp.name, "grants": grants, "outcome": outcome._asdict()},
                       indent=2)
 
 
@@ -279,6 +279,7 @@ def load_outcome(path: Path, suite: CryptoSuite) -> attacks.AttackOutcome:
     curve than `suite`'s or with any grant, one naming an unknown attack or
     scheme, or one not named `attack-<attack>-<scheme>.json` after the pair it
     records raise `HarnessError`."""
+    from typing import get_type_hints  # loaded here only: `typing` is slow to import
     schema = {"curve": str, "grants": [str], "outcome": get_type_hints(attacks.AttackOutcome)}
     rec = harness.strict_record(path.read_text(encoding="utf-8"), schema, "attack outcome")
     if rec["curve"] != suite.cp.name:
@@ -398,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", choices=harness.SCENARIOS, default="foreign-auth")
     sp.add_argument("--scenario-file",
                     help="scenario JSON (overrides scheme/scenario/seed/curve/update-rounds)")
-    sp.add_argument("--card", help="card file from `register` (proposed scheme)")
-    sp.add_argument("--password", help="password for --card logins")
+    sp.add_argument("--card", help="card file from `register` (proposed scheme; needs --password)")
+    sp.add_argument("--password", help="password for --card logins (needs --card)")
     sp.add_argument("--update-rounds", type=_at_least_one, default=1)
     sp.add_argument("--tamper", help="open message kind to flip one byte of in flight "
                     "(exit 2 if the run sends no such frame)")

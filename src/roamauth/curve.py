@@ -29,20 +29,36 @@ paths are tested against; on the toy curve `mul_add` is `point_add` over two
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
+
+from .record import Record
+
+_set = object.__setattr__  # sets a field of a frozen record
 
 
 class CurveError(ValueError):
     """Invalid curve parameter, point, or scalar."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """Affine point (x, y), or the group identity when both are None."""
+class Point(Record, frozen=True):
+    """Affine point (x, y), or the group identity when both are None.  Built,
+    compared and hashed (it keys the toy table) by hand, for speed; `__init__`
+    sets the fields as `object` does, so that reading them stays fast."""
 
     x: int | None
     y: int | None
+
+    def __init__(self, x: int | None, y: int | None) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @property
     def is_infinity(self) -> bool:
@@ -57,8 +73,7 @@ class Point:
 INFINITY = Point(None, None)
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Record, frozen=True):
     """y^2 = x^3 + a*x + b over F_p with base point of prime order n."""
 
     name: str

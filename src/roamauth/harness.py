@@ -14,8 +14,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, get_type_hints
+from collections.abc import Callable
 
 from . import mun as mun_mod
 from . import proposed as prop
@@ -23,6 +22,7 @@ from . import wire
 from .curve import PROFILES, CurveError, Point
 from .encoding import EncodingError
 from .instrument import OpCounts, active_counter, counting
+from .record import Factory, Record
 from .suite import CryptoSuite, KeyPair, identity_from_label
 
 MU, FA, HA = "MU", "FA", "HA"
@@ -76,8 +76,7 @@ def strict_record(text: str, schema: dict, what: str, optional=frozenset()) -> d
     return rec
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record, frozen=True):
     """Declarative scenario definition, loadable from a small JSON file."""
 
     scheme: str
@@ -91,9 +90,10 @@ class ScenarioSpec:
         """Read a scenario JSON object with the fields' keys and types (those
         with a default may be left out).  Any other record, an unknown scheme,
         scenario or curve, or update_rounds below 1 raise `HarnessError`."""
+        from typing import get_type_hints  # loaded here only: `typing` is slow to import
         with open(path, "r", encoding="utf-8") as fh:
             raw = strict_record(fh.read(), get_type_hints(cls), "scenario file",
-                                {f.name for f in fields(cls) if f.default is not MISSING})
+                                set(cls._field_defaults))
         spec = cls(**raw)
         if spec.scheme not in SCHEMES:
             raise HarnessError(f"unknown scheme {spec.scheme!r}")
@@ -132,8 +132,7 @@ def in_honest_step() -> bool:
 # transcripts
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(Record, frozen=True):
     sender: str
     receiver: str
     kind: str
@@ -142,44 +141,31 @@ class TranscriptEntry:
     phase: str = "main"
     secure: bool = False  # sent over the registration secure channel
 
+    def __init__(self, sender: str, receiver: str, kind: str, payload: bytes, bits: int,
+                 phase: str = "main", secure: bool = False) -> None:
+        fields = self.__dict__  # built for every delivery
+        fields["sender"], fields["receiver"], fields["kind"] = sender, receiver, kind
+        fields["payload"], fields["bits"] = payload, bits
+        fields["phase"], fields["secure"] = phase, secure
+
 
 _JSONL_HEADER = {"scheme": str, "scenario": str, "curve": str}
 _JSONL_ENTRY = {"i": int, "sender": str, "receiver": str, "kind": str, "phase": str,
                 "secure": bool, "bits": int, "hex": str}
 
 
-@dataclass
-class Transcript:
+class Transcript(Record):
     scheme: str
     scenario: str
     curve: str
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    entries: list[TranscriptEntry] = Factory(list)
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "scheme": self.scheme,
-                    "scenario": self.scenario,
-                    "curve": self.curve,
-                }
-            )
-        ]
+        lines = [json.dumps({"scheme": self.scheme, "scenario": self.scenario, "curve": self.curve})]
         for i, e in enumerate(self.entries):
-            lines.append(
-                json.dumps(
-                    {
-                        "i": i,
-                        "sender": e.sender,
-                        "receiver": e.receiver,
-                        "kind": e.kind,
-                        "phase": e.phase,
-                        "secure": e.secure,
-                        "bits": e.bits,
-                        "hex": e.payload.hex(),
-                    }
-                )
-            )
+            lines.append(json.dumps({"i": i, "sender": e.sender, "receiver": e.receiver,
+                                     "kind": e.kind, "phase": e.phase, "secure": e.secure,
+                                     "bits": e.bits, "hex": e.payload.hex()}))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -240,10 +226,6 @@ class Transcript:
         return b"".join(out)
 
 
-AdversaryHook = Callable[[str, str, str, bytes], bytes]
-Strategy = Callable[[Callable, tuple], object]
-
-
 class MessageBus:
     """Serializing in-memory channel with transcript capture.
 
@@ -255,7 +237,7 @@ class MessageBus:
     """
 
     def __init__(self, suite: CryptoSuite, transcript: Transcript,
-                 adversary: AdversaryHook | None = None):
+                 adversary: Callable[[str, str, str, bytes], bytes] | None = None):
         self.suite = suite
         self.transcript = transcript
         self.adversary = adversary
@@ -272,17 +254,8 @@ class MessageBus:
         for value in vars(delivered).values():
             if type(value) is Point and value.is_infinity:
                 raise CurveError("point at infinity rejected")
-        self.transcript.entries.append(
-            TranscriptEntry(
-                sender=sender,
-                receiver=receiver,
-                kind=delivered.KIND,
-                payload=raw,
-                bits=wire.nominal_bits(delivered),
-                phase=phase,
-                secure=secure,
-            )
-        )
+        self.transcript.entries.append(TranscriptEntry(
+            sender, receiver, delivered.KIND, raw, wire.nominal_bits(delivered), phase, secure))
         return delivered
 
 
@@ -290,16 +263,14 @@ class MessageBus:
 # worlds
 
 
-@dataclass
-class ProposedWorld:
+class ProposedWorld(Record):
     ca: KeyPair
     ha: prop.HAKeyMaterial
     fa: prop.FAKeyMaterial
     mu: prop.MUState
 
 
-@dataclass
-class MunWorld:
+class MunWorld(Record):
     ha: mun_mod.MunHAState
     fa: mun_mod.MunFAState
     cred: mun_mod.MunCredentials | None  # None until the user registers
@@ -374,8 +345,7 @@ _COST_REPORT = {
 }
 
 
-@dataclass
-class CostReport:
+class CostReport(Record):
     scheme: str
     scenario: str
     curve: str
@@ -422,7 +392,7 @@ class CostReport:
         return buf.getvalue()
 
     def ops_csv(self) -> str:
-        cols = [f.name for f in fields(OpCounts)]
+        cols = OpCounts._fields
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["party"] + [f"{c} (measured)" for c in cols]
@@ -472,8 +442,7 @@ def measure_costs(transcript: Transcript, op_counts: dict[str, OpCounts]) -> Cos
 # session driver
 
 
-@dataclass
-class SessionResult:
+class SessionResult(Record):
     transcript: Transcript
     report: CostReport
     outcome: dict
@@ -486,9 +455,9 @@ def run_session(
     rng: random.Random,
     *,
     world=None,
-    adversary: AdversaryHook | None = None,
+    adversary: Callable[[str, str, str, bytes], bytes] | None = None,
     update_rounds: int = 1,
-    play: dict[str, Strategy] | None = None,
+    play: dict[str, Callable[[Callable, tuple], object]] | None = None,
 ) -> SessionResult:
     """Execute one scenario end to end and account for it.
 
@@ -736,10 +705,7 @@ def measure_features(suite: CryptoSuite, rng: random.Random) -> dict[str, dict[s
     # verification table: does the home agent hold per-user records after
     # registration?  (The proposed HA has no such field at all.)
     out["no-verification-table"] = {
-        "proposed": not any(
-            isinstance(getattr(pw.ha, f.name), dict)
-            for f in pw.ha.__dataclass_fields__.values()
-        ),
+        "proposed": not any(isinstance(value, dict) for value in pw.ha._asdict().values()),
         "mun": len(mw.ha.registry) == 0,
     }
 
@@ -772,8 +738,7 @@ def measure_features(suite: CryptoSuite, rng: random.Random) -> dict[str, dict[s
     return out
 
 
-@dataclass
-class MatrixReport:
+class MatrixReport(Record):
     rows: list[dict]
     notes: list[str]
 

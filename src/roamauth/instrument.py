@@ -11,16 +11,17 @@ point multiplications.
 from __future__ import annotations
 
 import contextvars
-from dataclasses import dataclass, fields
+
+from .record import Record
 
 
-@dataclass
-class OpCounts:
+class OpCounts(Record):
     """Primitive-operation tallies for one party during one run.
 
     `xor`..`vsign` mirror the comparison-table columns; `kdf`, `mac` and
     `vcert` are bookkeeping for operations the tables do not itemize
-    (point-to-key derivation, keyed MACs, certificate checks).
+    (point-to-key derivation, keyed MACs, certificate checks).  Built for
+    every step, so `__init__` is written out.
     """
 
     xor: int = 0
@@ -35,11 +36,23 @@ class OpCounts:
     mac: int = 0
     vcert: int = 0
 
+    def __init__(self, xor=0, hash=0, mul=0, mul_pre=0, esym=0, dsym=0, gsign=0, vsign=0,
+                 kdf=0, mac=0, vcert=0) -> None:
+        self.xor = xor
+        self.hash = hash
+        self.mul = mul
+        self.mul_pre = mul_pre
+        self.esym = esym
+        self.dsym = dsym
+        self.gsign = gsign
+        self.vsign = vsign
+        self.kdf = kdf
+        self.mac = mac
+        self.vcert = vcert
+
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _FIELD_NAMES}
+        return self._asdict()
 
-
-_FIELD_NAMES = tuple(f.name for f in fields(OpCounts))
 
 _active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(
     "roamauth_opcounts", default=None

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import hmac
 import random
-from dataclasses import dataclass, field
 
 from .curve import Point
 from .proposed import SessionKey
+from .record import Factory, Record
 from .suite import CryptoSuite
 from .wire import NONCE_BYTES, Message
 
@@ -43,21 +43,18 @@ class MunAuthError(MunError):
 # state
 
 
-@dataclass
-class MunHAState:
+class MunHAState(Record):
     """Home agent with its registration table (see module docstring)."""
 
     home_id: bytes
-    registry: dict[bytes, bytes] = field(default_factory=dict)  # user_id -> password digest
+    registry: dict[bytes, bytes] = Factory(dict)  # user_id -> password digest
 
 
-@dataclass(frozen=True)
-class MunFAState:
+class MunFAState(Record, frozen=True):
     foreign_id: bytes
 
 
-@dataclass(frozen=True)
-class MunCredentials:
+class MunCredentials(Record, frozen=True):
     """What the user walks away with after registration (no smart card)."""
 
     user_id: bytes
@@ -67,8 +64,7 @@ class MunCredentials:
     home_id: bytes
 
 
-@dataclass
-class MunFASession:
+class MunFASession(Record):
     """Foreign-agent per-login state."""
 
     foreign_nonce: bytes
@@ -77,8 +73,7 @@ class MunFASession:
     eph_priv: int | None = None
 
 
-@dataclass(frozen=True)
-class MunChannel:
+class MunChannel(Record, frozen=True):
     """Established MU-FA channel: key plus the shared point that the next
     refresh round must prove knowledge of."""
 

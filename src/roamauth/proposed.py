@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import hmac
 import random
-from dataclasses import dataclass, replace
 
 from .curve import CurveError, Point
 from .encoding import EncodingError
+from .record import Record
 from .suite import (
     DIGEST_BYTES,
     AuthenticationError,
@@ -87,8 +87,7 @@ class SessionMismatch(SchemeError):
 # party state
 
 
-@dataclass(frozen=True)
-class HAKeyMaterial:
+class HAKeyMaterial(Record, frozen=True):
     """Home-agent long-term state: identity, hashing master secret, static
     ECDH pair (the card carries its public half), and a certified signing
     key.  Deliberately contains no per-user storage."""
@@ -101,16 +100,14 @@ class HAKeyMaterial:
     ca_pub: Point
 
 
-@dataclass(frozen=True)
-class FAKeyMaterial:
+class FAKeyMaterial(Record, frozen=True):
     foreign_id: bytes
     signer: KeyPair
     cert: Certificate
     ca_pub: Point
 
 
-@dataclass(frozen=True)
-class SmartCard:
+class SmartCard(Record, frozen=True):
     """Issued credential record {Q, H, C, ID_HA} plus the user-added salt."""
 
     masked_key: bytes        # Q = h(ID || y) xor h(PW || salt)
@@ -120,27 +117,27 @@ class SmartCard:
     card_salt: bytes | None = None
 
 
-@dataclass(frozen=True)
-class MUState:
+class MUState(Record, frozen=True):
     user_id: bytes
     password: bytes
     card: SmartCard | None  # None until the user registers
 
 
-@dataclass
-class UserSession:
+class UserSession(Record):
     """Mobile-user ephemerals for one login; the finishing step wipes them."""
 
     eph_priv: int | None
     user_eph: Point
     id_key: bytes          # h(ID || y), recovered from the card
 
+    def __init__(self, eph_priv: int | None, user_eph: Point, id_key: bytes) -> None:
+        self.eph_priv, self.user_eph, self.id_key = eph_priv, user_eph, id_key
+
     def wipe(self) -> None:
         self.eph_priv = None
 
 
-@dataclass
-class ForeignSession:
+class ForeignSession(Record):
     """Foreign-agent ephemerals for one login; `fa_finish` wipes them."""
 
     eph_priv: int | None
@@ -153,10 +150,13 @@ class ForeignSession:
         self.eph_priv = None
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(Record, frozen=True):
     value: bytes
     epoch: int = 0
+
+    def __init__(self, value: bytes, epoch: int = 0) -> None:
+        fields = self.__dict__
+        fields["value"], fields["epoch"] = value, epoch
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def card_finalize(card: SmartCard, card_salt: bytes) -> SmartCard:
     """User writes the salt into the freshly issued card."""
     if len(card_salt) != CARD_SALT_BYTES:
         raise ValidationError(f"card salt must be {CARD_SALT_BYTES} bytes")
-    return replace(card, card_salt=card_salt)
+    return card.replace(card_salt=card_salt)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass
 from functools import cache
 
 from . import curve as ec
 from . import instrument
 from .curve import CurveParams, Point
 from .encoding import encode_concat
+from .record import Record
 
 DIGEST_BYTES = 20  # 160-bit digests and identities
 GCM_NONCE_BYTES = 12
@@ -44,10 +44,13 @@ class SignatureFormatError(SuiteError):
     """Signature bytes do not parse."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record, frozen=True):
     r: int
     s: int
+
+    def __init__(self, r: int, s: int) -> None:
+        fields = self.__dict__
+        fields["r"], fields["s"] = r, s
 
     def to_bytes(self, cp: CurveParams) -> bytes:
         w = cp.scalar_bytes
@@ -61,14 +64,12 @@ class Signature:
         return cls(int.from_bytes(data[:w], "big"), int.from_bytes(data[w:], "big"))
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record, frozen=True):
     priv: int
     pub: Point
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record, frozen=True):
     """Depth-1 certificate: subject identity and public key, CA-signed."""
 
     subject_id: bytes

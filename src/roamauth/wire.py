@@ -1,9 +1,11 @@
 """Message framing and nominal size accounting.
 
 Wire format per message: kind id (1 byte) || canonically encoded field list
-(see encoding.py).  Each message class subclasses `Message`, naming its
-kind id in the class statement and the cost kind of every field beside the
-field.  That one declaration drives the codec and the cost accounting: the
+(see encoding.py).  Each message class subclasses `Message`, a frozen
+value record (see record.py), naming its kind id in the class statement and
+the cost kind of every field beside the field.  The record base gives the
+value semantics; `Message` adds only the wire part.  That one declaration
+drives the codec and the cost accounting: the
 nominal bit widths follow the standard accounting for this protocol family
 (group element 1024, identity 160, hash 160, random number 128,
 symmetric/asymmetric encryption block 1024) regardless of the actual curve
@@ -17,11 +19,9 @@ payloads inside messages are decoded with the same checks (`unpack`).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from typing import ClassVar
-
 from .curve import CurveError, CurveParams
 from .encoding import EncodingError, decode_concat, encode_concat, field_bytes, field_point
+from .record import Record
 from .suite import DIGEST_BYTES
 
 NONCE_BYTES = 16  # 128-bit nonces
@@ -45,31 +45,19 @@ FIXED_BYTES: dict[str, int] = {"identity": DIGEST_BYTES, "hash": DIGEST_BYTES, "
 _BY_ID: dict[int, type[Message]] = {}
 
 
-class Message:
-    """Base of every wire message: an immutable value, equal and hashed by
-    its type and field values.
-
-    A subclass names its kind id and kind in the class statement and declares
-    each field, in wire order, as `name: type = "kind"`, the kind being a key
-    of PARAM_BITS:
+class Message(Record, frozen=True):
+    """Base of every wire message, a frozen record.  A subclass names its
+    kind id and kind in the class statement and declares each field, in wire
+    order, as `name: type = "kind"`, the kind being a key of PARAM_BITS:
 
         class RefreshRequest(Message, kind_id=8, kind="refresh-request"):
             user_eph: Point = "point"
 
-    The subclass hook records the field names, kinds and nominal bits once
-    and registers the class under its id; a duplicate id or a field of
-    unknown kind is refused.  Instances are built by position or keyword
-    with every field, keep their fields in wire order, and refuse assignment
-    with `FrozenInstanceError`; `replace` makes a changed copy."""
-
-    KIND: ClassVar[str]
-    _prefix: ClassVar[bytes]  # the kind id byte
-    _names: ClassVar[tuple[str, ...]]
-    _kinds: ClassVar[tuple[str, ...]]
-    _bits: ClassVar[int]
+    The hook takes the kinds off the class (every field is required), records
+    the id byte and nominal bits and registers the class under its id; a
+    duplicate id or an unknown kind is refused."""
 
     def __init_subclass__(cls, kind_id: int, kind: str, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
         if kind_id in _BY_ID:
             raise ValueError(f"duplicate message kind id {kind_id} "
                              f"({kind!r} and {_BY_ID[kind_id].KIND!r})")
@@ -79,41 +67,10 @@ class Message:
             if field_kind not in PARAM_BITS:
                 raise ValueError(f"{cls.__name__}.{name}: unknown wire field kind {field_kind!r}")
             delattr(cls, name)
-        cls.KIND, cls._prefix, cls._names, cls._kinds = kind, bytes([kind_id]), names, kinds
+        super().__init_subclass__(**kwargs)
+        cls.KIND, cls._prefix, cls._kinds = kind, bytes([kind_id]), kinds
         cls._bits = sum(PARAM_BITS[k] for k in kinds)
         _BY_ID[kind_id] = cls
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self._names
-        if kwargs or len(args) != len(names):
-            rest = names[len(args):]
-            if len(args) > len(names) or kwargs.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
-                                f"got {len(args)} by position and {sorted(kwargs)} by keyword")
-            args = (*args, *(kwargs[name] for name in rest))
-        self.__dict__.update(zip(names, args))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def replace(self, **changes) -> Message:
-        """A copy with `changes` applied; an unknown field raises `TypeError`."""
-        return type(self)(**{**self.__dict__, **changes})
 
 
 def nominal_bits(msg: Message) -> int:

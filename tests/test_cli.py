@@ -1,6 +1,5 @@
 """Command-line contract: exit codes form the shell-level test surface."""
 
-import dataclasses
 import json
 import shutil
 
@@ -128,6 +127,16 @@ def test_handshake_card_with_mun_is_usage_error(card, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", ["--card", "--password"])
+def test_handshake_card_or_password_alone_is_usage_error(card, tmp_path, capsys, given):
+    out = tmp_path / "r"
+    value = str(card) if given == "--card" else "hunter2"
+    assert run("handshake", "--curve", "toy", "--seed", "5", given, value,
+               "--out", str(out)) == EXIT_USAGE
+    assert "error: --card and --password must be given together" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_handshake_unsupported_scenario(tmp_path):
     assert run("handshake", "--scheme", "mun", "--scenario", "home-auth",
                "--curve", "toy", "--seed", "5", "--out", str(tmp_path / "r")) == EXIT_USAGE
@@ -151,8 +160,8 @@ def test_handshake_scenario_file(tmp_path):
 def test_scenario_file_help_names_every_field_it_overrides():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     action = next(a for a in sub.choices["handshake"]._actions if a.dest == "scenario_file")
-    for f in dataclasses.fields(harness.ScenarioSpec):
-        assert f.name.replace("_", "-") in action.help, f.name
+    for name in harness.ScenarioSpec._fields:
+        assert name.replace("_", "-") in action.help, name
 
 
 @pytest.mark.parametrize("fields", [

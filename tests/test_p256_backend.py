@@ -152,10 +152,11 @@ def test_failed_load_raises_curve_error(monkeypatch):
     assert scalar_mul(P256, 5, G) == ec._scalar_mul_ref(P256, 5, G)
 
 
-def _run_in_subprocess(code):
+def _run_in_subprocess(code, *flags):
     path = [str(Path(ec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -189,6 +190,17 @@ def test_import_loads_no_aead_binding_and_builds_no_toy_table():
         "built, loaded = state()\n"
         "assert res.outcome['success'] and built == 1, built\n"
         "assert 'cryptography.hazmat.primitives.ciphers.aead' in loaded, loaded\n")
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """The records are built without `dataclasses`, and `typing` loads only
+    inside the two loaders that read type hints.  `-S` keeps out site hooks,
+    which may import `typing` themselves."""
+    _run_in_subprocess(
+        "import sys\n"
+        "import roamauth.attacks, roamauth.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]\n"
+        "assert not loaded, loaded\n", "-S")
 
 
 def test_p256_session_uses_no_other_ec_binding():

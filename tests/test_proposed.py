@@ -6,7 +6,6 @@ White-box assertions (recomputing card fields from the home agent's master
 secret) are marked as such - the protocol itself never exposes these values.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -79,7 +78,7 @@ def test_card_fields_recompute_from_master_secret(toy_suite, world):
 
 
 def test_card_finalize(toy_suite, world, rng):
-    bare = dataclasses.replace(world.mu.card, card_salt=None)
+    bare = world.mu.card.replace(card_salt=None)
     salt = rng.randbytes(prop.CARD_SALT_BYTES)
     done = prop.card_finalize(bare, salt)
     assert done.card_salt == salt
@@ -97,11 +96,11 @@ def test_home_agent_keeps_no_user_records(toy_suite, rng):
             toy_suite, identity_from_label(f"user-{i}"), b"pw", rng
         )
         prop.register_issue(toy_suite, ha_before, req)
-    # frozen dataclass with fixed fields: nothing per-user can accumulate
-    assert dataclasses.fields(ha_before) == dataclasses.fields(prop.HAKeyMaterial)
+    # frozen record with fixed fields: nothing per-user can accumulate
+    assert list(vars(ha_before)) == list(prop.HAKeyMaterial._fields)
     assert not any(
-        isinstance(getattr(ha_before, f.name), (dict, list, set))
-        for f in dataclasses.fields(ha_before)
+        isinstance(getattr(ha_before, name), (dict, list, set))
+        for name in prop.HAKeyMaterial._fields
     )
 
 
@@ -119,7 +118,7 @@ def test_local_verify_correct_and_wrong(toy_suite, world):
 
 @pytest.mark.parametrize("card", ["unsalted", "missing"])
 def test_login_refuses_a_card_without_salt_or_no_card(toy_suite, world, rng, card):
-    card = dataclasses.replace(world.mu.card, card_salt=None) if card == "unsalted" else None
+    card = world.mu.card.replace(card_salt=None) if card == "unsalted" else None
     with pytest.raises(prop.LocalVerificationError, match="no salt installed"):
         prop.login_begin(toy_suite, prop.MUState(world.mu.user_id, world.mu.password, card), rng)
 

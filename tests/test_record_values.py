@@ -9,13 +9,13 @@ frozen, unhashable and assignable when not, and copied with changes by
 `replace`.
 """
 
-import dataclasses
 import inspect
 from typing import get_type_hints
 
 import pytest
 
 from roamauth import attacks, cli, curve, encoding, harness, instrument, mun, proposed, suite, wire
+from roamauth.record import Record
 
 _OPS = "xor hash mul mul_pre esym dsym gsign vsign kdf mac vcert"
 
@@ -64,20 +64,20 @@ CASES = [pytest.param(cls, frozen, tuple(names.split()), defaults, id=cls.__name
 
 
 def field_names(cls) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields
 
 
 def default_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING}
+    return set(cls._field_defaults)
 
 
 def replace(record, **changes):
-    return dataclasses.replace(record, **changes)
+    return record.replace(**changes)
 
 
 def is_record_class(obj) -> bool:
-    return inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+    return (inspect.isclass(obj) and issubclass(obj, Record) and obj is not Record
+            and not issubclass(obj, wire.Message))
 
 
 def values(names, base=10) -> dict:
