@@ -41,9 +41,8 @@ class CurveError(ValueError):
 
 
 class Point(Record, frozen=True):
-    """Affine point (x, y), or the group identity when both are None.  Built,
-    compared and hashed (it keys the toy table) by hand, for speed; `__init__`
-    sets the fields as `object` does, so that reading them stays fast."""
+    """Affine point (x, y), or the group identity when both are None.  Built, compared
+    and hashed by hand (it keys the toy table); `__init__` keeps reads fast."""
 
     x: int | None
     y: int | None

@@ -160,6 +160,10 @@ class Transcript(Record):
     curve: str
     entries: list[TranscriptEntry] = Factory(list)
 
+    def __init__(self, scheme: str, scenario: str, curve: str, entries=None) -> None:
+        self.scheme, self.scenario, self.curve = scheme, scenario, curve  # one per session
+        self.entries = [] if entries is None else entries
+
     def to_jsonl(self) -> str:
         lines = [json.dumps({"scheme": self.scheme, "scenario": self.scenario, "curve": self.curve})]
         for i, e in enumerate(self.entries):
@@ -360,6 +364,13 @@ class CostReport(Record):
     paper_ops: dict[str, dict[str, int]] | None
     notes: list[str]
 
+    def __init__(self, scheme, scenario, curve, rule, rounds, phase_rounds, mobile_bits,
+                 paper_bits, paper_rounds, message_bits, op_counts, paper_ops, notes) -> None:
+        self.scheme, self.scenario, self.curve, self.rule = scheme, scenario, curve, rule
+        self.rounds, self.phase_rounds, self.mobile_bits = rounds, phase_rounds, mobile_bits
+        self.paper_bits, self.paper_rounds, self.message_bits = paper_bits, paper_rounds, message_bits
+        self.op_counts, self.paper_ops, self.notes = op_counts, paper_ops, notes
+
     @property
     def bits_delta(self) -> int | None:
         if self.paper_bits is None:
@@ -446,6 +457,9 @@ class SessionResult(Record):
     transcript: Transcript
     report: CostReport
     outcome: dict
+
+    def __init__(self, transcript: Transcript, report: CostReport, outcome: dict) -> None:
+        self.transcript, self.report, self.outcome = transcript, report, outcome
 
 
 def run_session(

@@ -51,7 +51,7 @@ class OpCounts(Record):
         self.vcert = vcert
 
     def as_dict(self) -> dict[str, int]:
-        return self._asdict()
+        return dict(self.__dict__)
 
 
 _active: contextvars.ContextVar[OpCounts | None] = contextvars.ContextVar(

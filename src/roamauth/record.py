@@ -1,15 +1,13 @@
 """One value-record base for the package's records and wire messages.
 
-A record class lists its fields as annotations, in order, each with an
-optional class-level default (a `Factory` default is made afresh for each
-instance), and says in its class statement whether it is frozen, as in
-`class SessionKey(Record, frozen=True)`.  The subclass hook reads the
-annotations once and writes no code, so start-up stays cheap.  A record is
-built by position or keyword; records are equal when their types and fields
-are; a frozen one hashes by its fields and refuses assignment with
-`FrozenInstanceError`.  `replace` makes a changed copy, and `_fields` and
-`_field_defaults` name the fields and defaults.  The shared `__init__` fills
-the instance `__dict__`; a class built many times per session writes its own.
+A record class lists its fields as annotated class attributes, in order, with
+optional defaults (`Factory` for a fresh one per instance), and may say
+`frozen=True` in its class statement.  The subclass hook reads the annotations
+once and writes no code.  Records are built by position or keyword, equal by
+type and fields, and copied with changes by `replace`; a frozen one hashes by
+its fields and refuses assignment.  `_fields` and `_field_defaults` name the
+fields and defaults.  A class built at least once per session writes its own,
+faster, `__init__`.
 """
 
 from operator import attrgetter
@@ -28,16 +26,8 @@ class Factory:
         self.make = make
 
 
-def _refuse(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
-
-
-def _hash(self):
-    return hash(self._values(self))
-
-
 class Record:
-    """Base of every record; see the module docstring."""
+    """Base of every record; the shared `__init__` fills `__dict__` in field order."""
 
     _fields = ()
     _field_defaults = {}
@@ -51,26 +41,25 @@ class Record:
         for name in own:
             if type(vars(cls).get(name)) is Factory:
                 delattr(cls, name)
+        cls._defaults = tuple(cls._field_defaults.get(name, _MISSING) for name in cls._fields)
         # the field values: a tuple, or the one value of a one-field record
         cls._values = attrgetter(*cls._fields) if cls._fields else None
         if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
             if vars(cls).get("__hash__") is None:
-                cls.__hash__ = _hash
+                cls.__hash__ = Record._hash
 
     def __init__(self, *args, **kwargs):
         names = self._fields
         if kwargs or len(args) != len(names):
-            if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
-                                f"got {len(args)} by position and {sorted(kwargs)} by keyword")
-            rest = []
-            for name in names[len(args):]:
-                value = kwargs.get(name, self._field_defaults.get(name, _MISSING))
-                if value is _MISSING:
-                    raise TypeError(f"{type(self).__name__} is missing the field {name!r}")
-                rest.append(value.make() if type(value) is Factory else value)
-            args = (*args, *rest)
+            given = len(args)  # pop what the keywords give; what is left is unknown or doubled
+            args = (*args, *map(kwargs.pop, names[given:], self._defaults[given:]))
+            if kwargs or len(args) != len(names) or _MISSING in args:
+                missing = [name for name, value in zip(names, args) if value is _MISSING]
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; got "
+                                f"{given} by position, {sorted(kwargs)} left over, {missing} missing")
+            if Factory in map(type, args):
+                args = [value.make() if type(value) is Factory else value for value in args]
         self.__dict__.update(zip(names, args))
 
     def __eq__(self, other):
@@ -79,6 +68,12 @@ class Record:
         return self._values(self) == other._values(other)
 
     __hash__ = None  # a frozen subclass hashes by its fields
+
+    def _hash(self):
+        return hash(self._values(self))
+
+    def _refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())

@@ -46,13 +46,9 @@ _BY_ID: dict[int, type[Message]] = {}
 
 
 class Message(Record, frozen=True):
-    """Base of every wire message, a frozen record.  A subclass names its
-    kind id and kind in the class statement and declares each field, in wire
-    order, as `name: type = "kind"`, the kind being a key of PARAM_BITS:
-
-        class RefreshRequest(Message, kind_id=8, kind="refresh-request"):
-            user_eph: Point = "point"
-
+    """Base of every wire message, a frozen record.  A subclass names its kind
+    id and kind in the class statement and declares each field, in wire order,
+    as `name: type = "kind"`, a key of PARAM_BITS (`user_eph: Point = "point"`).
     The hook takes the kinds off the class (every field is required), records
     the id byte and nominal bits and registers the class under its id; a
     duplicate id or an unknown kind is refused."""
