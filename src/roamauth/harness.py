@@ -366,10 +366,11 @@ class CostReport(Record):
 
     def __init__(self, scheme, scenario, curve, rule, rounds, phase_rounds, mobile_bits,
                  paper_bits, paper_rounds, message_bits, op_counts, paper_ops, notes) -> None:
-        self.scheme, self.scenario, self.curve, self.rule = scheme, scenario, curve, rule
-        self.rounds, self.phase_rounds, self.mobile_bits = rounds, phase_rounds, mobile_bits
-        self.paper_bits, self.paper_rounds, self.message_bits = paper_bits, paper_rounds, message_bits
-        self.op_counts, self.paper_ops, self.notes = op_counts, paper_ops, notes
+        self.scheme, self.scenario, self.curve = scheme, scenario, curve  # one per session
+        self.rule, self.rounds, self.phase_rounds = rule, rounds, phase_rounds
+        self.mobile_bits, self.paper_bits, self.paper_rounds = mobile_bits, paper_bits, paper_rounds
+        self.message_bits, self.op_counts, self.paper_ops = message_bits, op_counts, paper_ops
+        self.notes = notes
 
     @property
     def bits_delta(self) -> int | None:

@@ -20,8 +20,7 @@ class OpCounts(Record):
 
     `xor`..`vsign` mirror the comparison-table columns; `kdf`, `mac` and
     `vcert` are bookkeeping for operations the tables do not itemize
-    (point-to-key derivation, keyed MACs, certificate checks).  Built for
-    every step, so `__init__` is written out.
+    (point-to-key derivation, keyed MACs, certificate checks).
     """
 
     xor: int = 0
