@@ -131,7 +131,9 @@ class UserSession(Record):
     id_key: bytes          # h(ID || y), recovered from the card
 
     def __init__(self, eph_priv: int | None, user_eph: Point, id_key: bytes) -> None:
-        self.eph_priv, self.user_eph, self.id_key = eph_priv, user_eph, id_key
+        self.eph_priv = eph_priv
+        self.user_eph = user_eph
+        self.id_key = id_key
 
     def wipe(self) -> None:
         self.eph_priv = None

@@ -1,15 +1,14 @@
 """Message framing and nominal size accounting.
 
 Wire format per message: kind id (1 byte) || canonically encoded field list
-(see encoding.py).  Each message class subclasses `Message`, a frozen
-value record (see record.py), naming its kind id in the class statement and
-the cost kind of every field beside the field.  The record base gives the
-value semantics; `Message` adds only the wire part.  That one declaration
-drives the codec and the cost accounting: the
-nominal bit widths follow the standard accounting for this protocol family
-(group element 1024, identity 160, hash 160, random number 128,
-symmetric/asymmetric encryption block 1024) regardless of the actual curve
-encoding in use.
+(see encoding.py).  Each message class subclasses `Message`, a frozen value
+record (see record.py), naming its kind id in the class statement and the
+cost kind of every field beside the field.  The record base gives the value
+semantics; `Message` adds only the wire part.  That one declaration drives
+the codec and the cost accounting: the nominal bit widths follow the
+standard accounting for this protocol family (group element 1024, identity
+160, hash 160, random number 128, symmetric/asymmetric encryption block
+1024) regardless of the actual curve encoding in use.
 
 Decoding is canonical: a frame must name a registered kind, carry exactly
 that kind's field count with the right tags, and fixed-width kinds must
