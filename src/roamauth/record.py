@@ -54,7 +54,7 @@ class Record:
         if kwargs or len(args) != len(names):
             given = len(args)  # pop what the keywords give; what is left is unknown or doubled
             args = (*args, *map(kwargs.pop, names[given:], self._defaults[given:]))
-            if kwargs or len(args) != len(names) or _MISSING in args:
+            if kwargs or len(args) != len(names) or any(value is _MISSING for value in args):
                 missing = [name for name, value in zip(names, args) if value is _MISSING]
                 raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; got "
                                 f"{given} by position, {sorted(kwargs)} left over, {missing} missing")
