@@ -19,7 +19,8 @@ Which arithmetic serves which profile:
   the ECDSA verification sum u1*G + u2*Q, is one two-scalar `EC_POINT_mul`
   on the same binding.  Every other input, and everything else here (point
   addition, encoding, validation), stays in pure Python.  No other module
-  reaches OpenSSL for P-256 arithmetic.
+  reaches OpenSSL for P-256 arithmetic; `suite`'s AES-GCM uses the same
+  binding (`_libcrypto`), without the P-256 group.
 
 The pure-Python multiplication, `_scalar_mul_ref`, is the reference the fast
 paths are tested against; on the toy curve `mul_add` is `point_add` over two
@@ -250,12 +251,12 @@ _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED
 
 @cache
 def _libcrypto():
-    """The libcrypto that `_hashlib` links, bound through ctypes, its P-256
-    group and the ctypes type of a 65-byte uncompressed point buffer.
+    """The libcrypto that `_hashlib` links, bound through ctypes: one `CDLL`
+    and one signature table, for P-256 here and AES-GCM in `suite`.
 
     The symbols resolve through `_hashlib`'s own libcrypto dependency, so no
-    new library enters the process.  Loaded on the first P-256
-    multiplication: a toy-only run never imports ctypes."""
+    new library enters the process.  Loaded on first use, so a toy mun run
+    never imports ctypes; a failed load raises `ImportError` naming the path."""
     import ctypes
 
     P, C, I, S = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int, ctypes.c_size_t
@@ -269,6 +270,13 @@ def _libcrypto():
         "BN_bin2bn": (P, [C, I, P]),
         "BN_clear_free": (None, [P]),
         "ERR_clear_error": (None, []),
+        **{f"EVP_aes_{bits}_gcm": (P, []) for bits in (128, 192, 256)},
+        "EVP_CIPHER_CTX_new": (P, []),
+        "EVP_CIPHER_CTX_free": (None, [P]),
+        "EVP_CIPHER_CTX_ctrl": (I, [P, I, I, P]),
+        "EVP_CipherInit_ex": (I, [P, P, P, C, C, I]),
+        "EVP_CipherUpdate": (I, [P, P, P, C, I]),
+        "EVP_CipherFinal_ex": (I, [P, P, P]),
     }
     path = "_hashlib"
     try:
@@ -280,12 +288,20 @@ def _libcrypto():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
     except (ImportError, OSError, AttributeError) as exc:
-        raise CurveError(f"cannot bind libcrypto through {path}: {exc}") from None
+        raise ImportError(f"cannot bind libcrypto through {path}: {exc}") from None
+    return lib
+
+
+@cache
+def _p256_group(lib):
+    """P-256's group in `lib`, and the ctypes type of a 65-byte point buffer."""
+    import ctypes
+
     group = lib.EC_GROUP_new_by_curve_name(_NID_P256)
     if not group:
         lib.ERR_clear_error()
-        raise CurveError(f"libcrypto through {path} has no P-256 group")
-    return lib, group, ctypes.c_char * 65
+        raise CurveError("libcrypto has no P-256 group")
+    return group, ctypes.c_char * 65
 
 
 def _p256_mul(k: int, pt: Point, g: int = 0) -> Point:
@@ -309,7 +325,11 @@ def _p256_mul(k: int, pt: Point, g: int = 0) -> Point:
     `BN_clear_free`, and none outlives the call, a `BN_CTX` included."""
     if pt.is_infinity:
         raise CurveError("point at infinity rejected")
-    lib, group, Buffer = _libcrypto()
+    try:
+        lib = _libcrypto()
+    except ImportError as exc:
+        raise CurveError(str(exc)) from None
+    group, Buffer = _p256_group(lib)
     out = Buffer()
     bn = bn_g = q = r = None
     try:

@@ -4,7 +4,7 @@ Concrete algorithm choices are declared here, not hard-wired into the
 protocol logic:
 
 * hash: SHA-256 truncated to 160 bits,
-* symmetric encryption: AES-256-GCM (authenticated),
+* symmetric encryption: AES-256-GCM in hashlib's libcrypto (`curve._libcrypto`),
 * signatures: ECDSA over the configured curve with deterministic nonces
   (RFC 6979), signing a 160-bit digest,
 * point-to-key derivation: SHA-256 of the canonical point encoding.
@@ -30,6 +30,8 @@ from .record import Record
 
 DIGEST_BYTES = 20  # 160-bit digests and identities
 GCM_NONCE_BYTES = 12
+GCM_TAG_BYTES = 16
+_GET_TAG, _SET_TAG = 0x10, 0x11  # EVP_CTRL_GCM_GET_TAG, EVP_CTRL_GCM_SET_TAG
 
 
 class SuiteError(Exception):
@@ -91,14 +93,40 @@ class Certificate(Record, frozen=True):
 
 
 @cache
-def _aead():
-    """`cryptography`'s AES-GCM class and its tag error, imported on the first
-    seal or open, so that importing this package loads none of
-    `cryptography`'s bindings."""
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+def _evp():
+    """libcrypto, its AES-GCM ciphers by key length and `_gcm`'s ctypes helpers."""
+    import ctypes
 
-    return AESGCM, InvalidTag
+    lib = ec._libcrypto()
+    ciphers = {size: getattr(lib, f"EVP_aes_{8 * size}_gcm")() for size in (16, 24, 32)}
+    return lib, ciphers, ctypes.create_string_buffer, ctypes.byref, ctypes.c_int
+
+
+def _gcm(key: bytes, nonce: bytes, data: bytes, tag: bytes | None = None) -> bytes:
+    """AES-GCM (NIST SP 800-38D) in a fresh `EVP_CIPHER_CTX`, freed with its
+    key schedule before return.  With no tag it seals data into ct || tag,
+    the tag written in place after ct; with one it opens data, returning the
+    plaintext only once `EVP_CipherFinal_ex` has checked the tag."""
+    lib, ciphers, buffer, byref, c_int = _evp()
+    if (cipher := ciphers.get(len(key))) is None:
+        raise ValueError("AES-GCM key must be 128, 192 or 256 bits")
+    seal, size, done = tag is None, len(data), c_int()
+    out = buffer(size + GCM_TAG_BYTES)
+    end = byref(out, size)
+    ctx = lib.EVP_CIPHER_CTX_new()
+    try:
+        ok = (ctx and lib.EVP_CipherInit_ex(ctx, cipher, None, key, nonce, seal) == 1
+              and lib.EVP_CipherUpdate(ctx, out, byref(done), data, size) == 1
+              and (seal or lib.EVP_CIPHER_CTX_ctrl(ctx, _SET_TAG, GCM_TAG_BYTES, tag) == 1)
+              and lib.EVP_CipherFinal_ex(ctx, end, byref(done)) == 1
+              and (not seal or lib.EVP_CIPHER_CTX_ctrl(ctx, _GET_TAG, GCM_TAG_BYTES, end) == 1))
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+    if not ok:
+        lib.ERR_clear_error()  # so that hashlib never reads a stale error
+        raise SuiteError("AES-GCM seal failed") if seal else AuthenticationError(
+            "ciphertext failed authentication")
+    return out.raw if seal else out.raw[:size]
 
 
 def _sha256(data: bytes) -> bytes:
@@ -208,23 +236,18 @@ class CryptoSuite:
         return _sha256(b"roamauth-point-key" + ec.point_to_bytes(self.cp, pt))
 
     def ae_encrypt(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
-        """Authenticated encryption; ciphertext = nonce || AES-GCM output, the
-        nonce drawn from the caller's seeded `rng`."""
+        """AES-GCM under a 16-, 24- or 32-byte key; ciphertext = nonce || ct ||
+        tag, the nonce drawn from the caller's seeded `rng`."""
         instrument.record("esym")
         nonce = rng.randbytes(GCM_NONCE_BYTES)
-        aesgcm, _ = _aead()
-        return nonce + aesgcm(key).encrypt(nonce, plaintext, None)
+        return nonce + _gcm(key, nonce, plaintext)
 
     def ae_decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
         instrument.record("dsym")
-        if len(ciphertext) < GCM_NONCE_BYTES + 16:
+        if len(ciphertext) < GCM_NONCE_BYTES + GCM_TAG_BYTES:
             raise AuthenticationError("ciphertext too short")
-        nonce, body = ciphertext[:GCM_NONCE_BYTES], ciphertext[GCM_NONCE_BYTES:]
-        aesgcm, invalid_tag = _aead()
-        try:
-            return aesgcm(key).decrypt(nonce, body, None)
-        except invalid_tag as exc:
-            raise AuthenticationError("ciphertext failed authentication") from exc
+        return _gcm(key, ciphertext[:GCM_NONCE_BYTES], ciphertext[GCM_NONCE_BYTES:-GCM_TAG_BYTES],
+                    ciphertext[-GCM_TAG_BYTES:])
 
     # -- MAC (keyed tag used by the legacy scheme) ------------------------------
 
@@ -239,16 +262,11 @@ class CryptoSuite:
         z = _bits2int(digest, cp.n)
         while True:
             k = _rfc6979_nonce(cp, priv, digest)
-            R = ec.scalar_mul(cp, k, cp.generator)
-            r = R.x % cp.n
-            if r == 0:
-                digest = _sha256(digest)[:DIGEST_BYTES]  # pragma: no cover
-                continue
+            r = ec.scalar_mul(cp, k, cp.generator).x % cp.n
             s = pow(k, -1, cp.n) * (z + r * priv) % cp.n
-            if s == 0:
-                digest = _sha256(digest)[:DIGEST_BYTES]  # pragma: no cover
-                continue
-            return Signature(r, s)
+            if r and s:
+                return Signature(r, s)
+            digest = _sha256(digest)[:DIGEST_BYTES]  # pragma: no cover
 
     def _verify_digest(self, pub: Point, digest: bytes, sig: Signature) -> bool:
         """Textbook check: x(u1*G + u2*pub) mod n == r, for r and s in
