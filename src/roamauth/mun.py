@@ -8,11 +8,11 @@ agent's tag check is vacuous, and the home agent hands the user a password
 it generated itself.
 
 One knowing deviation is required to make the scheme runnable at all: the
-home agent keeps a (user id, password digest) registry and identifies login
-attempts by scanning it for a matching alias, because the wire messages
-carry nothing else that names the user.  The published description both
-asserts there is no such table and requires the home agent to recompute a
-per-user value, which is not satisfiable simultaneously.
+home agent keeps a (user id, password digest) registry, indexed by alias,
+because the wire messages carry nothing else that names the user.  The
+published description both asserts there is no such table and requires the
+home agent to recompute a per-user value (not both satisfiable); it recomputes
+the matched user's alias once, so it bills the published row at any size.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ class MunAuthError(MunError):
 
 
 class MunHAState(Record):
-    """Home agent with its registration table (see module docstring)."""
+    """Home agent with its registration table and alias index (see module docstring)."""
 
     home_id: bytes
     registry: dict[bytes, bytes] = Factory(dict)  # user_id -> password digest
+    aliases: dict[bytes, bytes] = Factory(dict)  # r_MU -> user_id
 
 
 class MunFAState(Record, frozen=True):
@@ -147,7 +148,7 @@ class MunRefreshResponse(Message, kind_id=18, kind="mun-refresh-response"):
 
 def user_alias(suite: CryptoSuite, user_id: bytes, password_digest: bytes,
                home_id: bytes) -> bytes:
-    """r_MU = h(ID || PW) xor ID_HA, the alias the home agent scans its registry for."""
+    """r_MU = h(ID || PW) xor ID_HA, the alias the home agent looks its user up by."""
     return suite.xor160(suite.hash_fields([user_id, password_digest]), home_id)
 
 
@@ -159,11 +160,12 @@ def mun_register(
     rng: random.Random,
 ) -> MunCredentials:
     """Home agent invents the user's password from the two nonces and hands
-    everything back; it also records the pair it will later scan for."""
+    everything back; it also records the pair and indexes it by alias."""
     home_nonce = suite.rand_bytes(rng, NONCE_BYTES)
     password_digest = suite.hash_fields([client_nonce, home_nonce])
     alias = user_alias(suite, user_id, password_digest, ha.home_id)
     ha.registry[user_id] = password_digest
+    ha.aliases[alias] = user_id
     return MunCredentials(user_id, alias, password_digest, home_nonce, ha.home_id)
 
 
@@ -194,14 +196,12 @@ def mun_fa_forward(
 
 
 def mun_ha_auth(suite: CryptoSuite, ha: MunHAState, m2: MunForward) -> MunHomeReply:
-    """Scan the registry for the alias, then build the reply tags.  Note the
-    reply contains h(PW || N_FA) in the clear."""
-    password_digest = None
-    for user_id, digest in ha.registry.items():
-        if user_alias(suite, user_id, digest, ha.home_id) == m2.user_alias:
-            password_digest = digest
-            break
-    if password_digest is None:
+    """Look the alias up and recompute it (a stale alias fails), then build
+    the reply tags.  Note the reply contains h(PW || N_FA) in the clear."""
+    user_id = ha.aliases.get(m2.user_alias)
+    password_digest = ha.registry.get(user_id)
+    if (password_digest is None
+            or user_alias(suite, user_id, password_digest, ha.home_id) != m2.user_alias):
         raise MunUnknownUser("no registered user matches the presented alias")
     pw_tag = suite.hash_fields([password_digest, m2.foreign_nonce])
     return MunHomeReply(home_tag(suite, m2.foreign_id, m2.foreign_nonce, m2.user_alias, pw_tag),

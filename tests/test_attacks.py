@@ -496,7 +496,7 @@ SECRET_FIELDS = {
         "mu": ("password", "card"),
     },
     "mun": {
-        "ha": ("registry",),
+        "ha": ("registry", "aliases"),
         "cred": ("password_digest", "home_nonce", "user_alias", "user_id"),
     },
 }

@@ -10,7 +10,8 @@ import pytest
 
 from roamauth import mun, wire
 from roamauth.curve import P256, TOY, scalar_mul
-from roamauth.harness import build_mun_world, run_session
+from roamauth.harness import HA, PAPER_OPS, build_mun_world, run_session
+from roamauth.instrument import OpCounts, counting
 from roamauth.suite import CryptoSuite, identity_from_label
 
 
@@ -127,6 +128,33 @@ def test_unknown_alias_rejected(toy_suite, world, rng):
     m2 = mun.MunForward(world.fa.foreign_id, rng.randbytes(16), rng.randbytes(20))
     with pytest.raises(mun.MunUnknownUser):
         mun.mun_ha_auth(toy_suite, world.ha, m2)
+
+
+def test_home_agent_bills_the_published_row_at_any_registry_size(toy_suite, world, rng):
+    """The alias index finds any of 64 users with the published count (hash
+    3, xor 3), where a registry scan hashed once per user tried."""
+    creds = [mun.mun_register(toy_suite, world.ha, identity_from_label(f"u{i}"),
+                              rng.randbytes(16), rng) for i in range(63)]
+    for cred in (world.cred, creds[0], creds[31], creds[-1]):
+        m2, _ = mun.mun_fa_forward(toy_suite, world.fa, mun.mun_login(cred), rng)
+        ops = OpCounts()
+        with counting(ops):
+            mun.mun_ha_auth(toy_suite, world.ha, m2)
+        billed = {op: n for op, n in ops.as_dict().items() if n}
+        assert billed == PAPER_OPS["mun"][HA] == {"xor": 3, "hash": 3}
+
+
+def test_stale_alias_rejected_after_reregistration(toy_suite, world, rng):
+    """Re-registering a user gives a new password and alias; the old alias
+    stays in the index but no longer recomputes from the registry."""
+    old = mun.mun_login(world.cred)
+    new = mun.mun_register(toy_suite, world.ha, world.cred.user_id, rng.randbytes(16), rng)
+    assert new.user_alias != old.user_alias
+    m2, _ = mun.mun_fa_forward(toy_suite, world.fa, old, rng)
+    with pytest.raises(mun.MunUnknownUser):
+        mun.mun_ha_auth(toy_suite, world.ha, m2)
+    m2, _ = mun.mun_fa_forward(toy_suite, world.fa, mun.mun_login(new), rng)
+    assert mun.mun_ha_auth(toy_suite, world.ha, m2) is not None
 
 
 def test_foreign_agents_tag_check_is_vacuous(toy_suite, world, rng):

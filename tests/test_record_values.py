@@ -35,7 +35,7 @@ RECORDS = [
     (proposed.UserSession, False, "eph_priv user_eph id_key", {}),
     (proposed.ForeignSession, False, "eph_priv foreign_eph sym_key user_eph home_id", {}),
     (proposed.SessionKey, True, "value epoch", {"epoch": 0}),
-    (mun.MunHAState, False, "home_id registry", {"registry": {}}),
+    (mun.MunHAState, False, "home_id registry aliases", {"registry": {}, "aliases": {}}),
     (mun.MunFAState, True, "foreign_id", {}),
     (mun.MunCredentials, True, "user_id user_alias password_digest home_nonce home_id", {}),
     (mun.MunFASession, False, "foreign_nonce home_nonce user_alias eph_priv", {"eph_priv": None}),
