@@ -789,10 +789,10 @@ def run_attack(
     cdl: bool = False,
 ) -> AttackOutcome:
     """Run one named strategy with the view it requires.  `cdl` grants the
-    discrete-log oracle, and raises `ValueError` at once on a group too large
-    for it."""
+    discrete-log oracle, and raises `ValueError` at once on any curve but the
+    toy one."""
     cp = adapter.suite.cp
-    if cdl and cp.n > ec.DLOG_MAX_ORDER:
+    if cdl and cp is not ec.TOY:
         raise ValueError(f"the discrete-log oracle cannot brute-force {cp.name}")
     if name == "traceability":
         return attack_traceability(adapter, rng, trials)

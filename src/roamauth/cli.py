@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 
 def _is_toy(suite: CryptoSuite) -> bool:
     """Whether the discrete-log oracle can brute-force the curve."""
-    return suite.cp.n <= ec.DLOG_MAX_ORDER
+    return suite.cp is ec.TOY
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,22 @@ layers accounting on top.
 
 Which arithmetic serves which profile:
 
-* toy: `scalar_mul` with k in [1, n-1] on a finite on-curve point is a
-  table lookup, k*Q = (k * log Q mod n)*G, in a table of the whole group
-  built by iterated addition on the first such call (`_toy_table`).  Every
-  other input (k == n, the identity, an off-curve point), and everything
-  else here, is the pure-Python code in this module.
-* P-256: `scalar_mul` hands scalars in [1, n-1] on a finite on-curve point
-  (the cached `generator` object is not rechecked) to one OpenSSL
-  `EC_POINT_mul`, bound through ctypes in the libcrypto that `hashlib`
-  already loads; `_p256_mul` encodes the scalar and point itself.  `mul_add`,
-  the ECDSA verification sum u1*G + u2*Q, is one two-scalar `EC_POINT_mul`
-  on the same binding.  Every other input, and everything else here (point
-  addition, encoding, validation), stays in pure Python.  No other module
-  reaches OpenSSL for P-256 arithmetic; `suite`'s AES-GCM uses the same
-  binding (`_libcrypto`), without the P-256 group.
+* toy: `scalar_mul` with k in [1, n-1] on a finite point is a table
+  lookup, k*Q = (k * log Q mod n)*G, in a table of the whole group built by
+  iterated addition on first use (`_toy_table`).  The same table's log is
+  the adversary's discrete-log oracle, `brute_force_dlog`.
+* P-256: `scalar_mul` hands scalars in [1, n-1] on a finite point to one
+  OpenSSL `EC_POINT_mul`, bound through ctypes in the libcrypto that
+  `hashlib` already loads; `_p256_mul` encodes the scalar and point itself,
+  and OpenSSL refuses a point off the curve.  `mul_add`, the ECDSA
+  verification sum u1*G + u2*Q, is one two-scalar `EC_POINT_mul` on the
+  same binding.  No other module reaches OpenSSL for P-256 arithmetic;
+  `suite`'s AES-GCM uses the same binding (`_libcrypto`), without the group.
 
-The pure-Python multiplication, `_scalar_mul_ref`, is the reference the fast
-paths are tested against; on the toy curve `mul_add` is `point_add` over two
-`scalar_mul` calls.  The adversary's discrete-log oracle,
-`brute_force_dlog`, does not use the toy table.
+Every other multiplication (k == n, the identity) is `_scalar_mul_ref`, the
+pure-Python reference the fast paths are tested against; on the toy curve
+`mul_add` is `point_add` over two `scalar_mul` calls.  Every path refuses a
+point off the curve with `CurveError`.
 """
 
 from __future__ import annotations
@@ -96,14 +93,6 @@ class CurveParams(Record, frozen=True):
     def scalar_bytes(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
-    def validate(self) -> None:
-        if (4 * pow(self.a, 3, self.p) + 27 * pow(self.b, 2, self.p)) % self.p == 0:
-            raise CurveError(f"curve {self.name} is singular")
-        if not is_on_curve(self, self.generator):
-            raise CurveError(f"base point of {self.name} is not on the curve")
-        if not scalar_mul(self, self.n, self.generator).is_infinity:
-            raise CurveError(f"base point of {self.name} does not have order n")
-
 
 def is_on_curve(cp: CurveParams, pt: Point) -> bool:
     if pt.is_infinity:
@@ -112,12 +101,6 @@ def is_on_curve(cp: CurveParams, pt: Point) -> bool:
     if not (0 <= pt.x < cp.p and 0 <= pt.y < cp.p):
         return False
     return (pt.y * pt.y - (pt.x ** 3 + cp.a * pt.x + cp.b)) % cp.p == 0
-
-
-def negate(cp: CurveParams, pt: Point) -> Point:
-    if pt.is_infinity:
-        return INFINITY
-    return Point(pt.x, (-pt.y) % cp.p)
 
 
 def point_add(cp: CurveParams, p1: Point, p2: Point) -> Point:
@@ -189,18 +172,17 @@ def _jac_add(
 
 def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
     """k-fold sum of pt; k must lie in [1, n-1] except for the explicit
-    order check k == n.
+    order check k == n, and pt must be a group element.
 
-    On P-256, k in [1, n-1] times a finite on-curve point (`cp.generator` is
-    not rechecked) runs in OpenSSL.  On the toy curve, the same inputs are
-    read from the group table.  Every other call runs `_scalar_mul_ref`.  All
-    paths give the same point for every input."""
-    if (cp is P256 and isinstance(k, int) and 1 <= k < cp.n
-            and (pt is cp.generator or (not pt.is_infinity and is_on_curve(cp, pt)))):
+    On P-256, k in [1, n-1] times a finite point runs in OpenSSL.  On the toy
+    curve, the same inputs are read from the group table.  Every other call
+    runs `_scalar_mul_ref`.  All paths give the same point for every element
+    and raise `CurveError` for a point off the curve."""
+    if cp is P256 and isinstance(k, int) and 1 <= k < cp.n and not pt.is_infinity:
         return _p256_mul(k, pt)
     if cp is TOY and isinstance(k, int) and 1 <= k < cp.n:
         exp, log = _toy_table()
-        # Only finite on-curve points have a log, so no is_on_curve call.
+        # Every finite on-curve point has a log; the reference refuses the rest.
         if (j := log.get(pt)) is not None:
             return exp[k * j % cp.n]
     return _scalar_mul_ref(cp, k, pt)
@@ -208,13 +190,16 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point) -> Point:
 
 def _scalar_mul_ref(cp: CurveParams, k: int, pt: Point) -> Point:
     """Pure-Python double-and-add in Jacobian coordinates; agrees with
-    iterated point_add (checked exhaustively on the toy profile)."""
+    iterated point_add (checked exhaustively on the toy profile).  A point
+    off the curve raises `CurveError`."""
     if not isinstance(k, int):
         raise CurveError("scalar must be an integer")
     if not (1 <= k <= cp.n):
         raise CurveError(f"scalar {k} outside [1, n]")
     if pt.is_infinity:
         return INFINITY
+    if not is_on_curve(cp, pt):
+        raise CurveError("point is not on the curve")
     R = (0, 1, 0)
     Q = (pt.x, pt.y, 1)
     while k:
@@ -233,8 +218,8 @@ def _scalar_mul_ref(cp: CurveParams, k: int, pt: Point) -> Point:
 
 def mul_add(cp: CurveParams, u1: int, u2: int, pt: Point) -> Point:
     """u1*G + u2*pt for public scalars u1 in [0, n-1] and u2 in [1, n-1] and
-    pt finite and on the curve: the sum an ECDSA verifier checks.  The sum
-    may be the identity.
+    pt a finite group element: the sum an ECDSA verifier checks.  The sum
+    may be the identity; a pt off the curve raises `CurveError`.
 
     On P-256 it is one two-scalar OpenSSL `EC_POINT_mul`, which does not run
     in constant time, so it must never see a secret scalar.  On any other
@@ -319,16 +304,13 @@ def _p256_mul(k: int, pt: Point, g: int = 0) -> Point:
     returns `INFINITY`.
 
     Scalars cross as 32 and points as 65 bytes, encoded here.  The identity
-    as pt, a point off the curve or with a coordinate >= p, a scalar that
-    does not fit 32 bytes and a libcrypto that cannot be loaded each raise
-    `CurveError`.  Every OpenSSL object is freed, each scalar with
-    `BN_clear_free`, and none outlives the call, a `BN_CTX` included."""
+    as pt, a point off the curve or with a coordinate >= p and a scalar that
+    does not fit 32 bytes each raise `CurveError`, a failed load `ImportError`.
+    Every OpenSSL object is freed, each scalar with `BN_clear_free`, and none
+    outlives the call, a `BN_CTX` included."""
     if pt.is_infinity:
         raise CurveError("point at infinity rejected")
-    try:
-        lib = _libcrypto()
-    except ImportError as exc:
-        raise CurveError(str(exc)) from None
+    lib = _libcrypto()
     group, Buffer = _p256_group(lib)
     out = Buffer()
     bn = bn_g = q = r = None
@@ -410,7 +392,7 @@ def validate_point(cp: CurveParams, pt: Point) -> Point:
 def _toy_table() -> tuple[list[Point], dict[Point, int]]:
     """The whole toy group, index k -> k*G, and each finite point's discrete
     log: `scalar_mul` reads toy k*Q as G times k*log(Q) mod n.  Built on the
-    first toy multiplication, so a P-256 run never builds it."""
+    first toy multiplication or oracle call, so a P-256 run never builds it."""
     exp = enumerate_group(TOY)
     return exp, {pt: k for k, pt in enumerate(exp) if k}
 
@@ -431,23 +413,16 @@ def enumerate_group(cp: CurveParams) -> list[Point]:
     return points
 
 
-DLOG_MAX_ORDER = 1 << 20  # the largest group order `brute_force_dlog` serves
-
-
 def brute_force_dlog(cp: CurveParams, target: Point) -> int | None:
-    """Exhaustive discrete log: smallest k with k*G == target, or None.
+    """Discrete log on the toy curve: the k in [1, n-1] with k*G == target,
+    or None for the identity and for a point off the curve.
 
-    This is the toy-profile oracle that stands in for breaking the
-    discrete-log assumption; it refuses a group order above DLOG_MAX_ORDER.
+    This is the oracle that stands in for breaking the discrete-log
+    assumption; it reads the exhaustive toy table and refuses any other curve.
     """
-    if cp.n > DLOG_MAX_ORDER:
+    if cp is not TOY:
         raise CurveError(f"group of order {cp.n} too large to brute-force")
-    acc = g = cp.generator
-    for k in range(1, cp.n):
-        if acc == target:
-            return k
-        acc = point_add(cp, acc, g)
-    return None
+    return _toy_table()[1].get(target)
 
 
 # Tiny curve with a prime-order group (727 points including the identity),

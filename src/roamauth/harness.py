@@ -19,7 +19,7 @@ from collections.abc import Callable
 from . import mun as mun_mod
 from . import proposed as prop
 from . import wire
-from .curve import PROFILES, CurveError, Point
+from .curve import PROFILES, CurveError
 from .encoding import EncodingError
 from .instrument import OpCounts, active_counter, counting
 from .record import Factory, Record
@@ -235,9 +235,9 @@ class MessageBus:
 
     Deliveries go through wire bytes and back, so a session exercises the
     full codec; an adversary hook may rewrite the bytes in flight.  The
-    decoder checks that each point of a delivered frame is on the curve, and
-    the bus refuses the identity point before the frame is recorded, so no
-    protocol step rechecks one (`CurveError` on failure).
+    decoder refuses a delivered frame whose points are not all finite group
+    elements (`EncodingError`) before the frame is recorded, so no protocol
+    step rechecks one.
     """
 
     def __init__(self, suite: CryptoSuite, transcript: Transcript,
@@ -255,9 +255,6 @@ class MessageBus:
         if type(delivered) is not type(msg):
             # the receiver's step expects the kind that was sent
             raise EncodingError(f"expected {msg.KIND}, got {delivered.KIND}")
-        for value in vars(delivered).values():
-            if type(value) is Point and value.is_infinity:
-                raise CurveError("point at infinity rejected")
         self.transcript.entries.append(TranscriptEntry(
             sender, receiver, delivered.KIND, raw, wire.nominal_bits(delivered), phase, secure))
         return delivered

@@ -18,9 +18,9 @@ Three parties: a mobile user (MU) holding a smart card, the foreign agent
 
 Every step is a pure function of (party state, message, rng) and either
 returns the next message or raises a scheme error; nothing is transmitted
-after a failed check.  A step gets a message whose field widths and
-on-curve points the wire decoder has already checked, and in which the bus
-has refused the identity point.
+after a failed check.  A step gets a message whose field widths the wire
+decoder has already checked, and whose points it has checked are finite
+group elements; sealed payloads and certificates are decoded the same way.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ class SchemeError(Exception):
 
 class ValidationError(SchemeError):
     """An argument check failed: identity width, empty password or card salt
-    width.  Received frames are checked before a step runs (`wire.unpack`
-    checks field widths and that each point is on the curve, and
-    `harness.MessageBus` refuses the identity point)."""
+    width.  Received frames are checked before a step runs: `wire.unpack`
+    checks field widths and that each point is a finite group element."""
 
 
 class LocalVerificationError(SchemeError):

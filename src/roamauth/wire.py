@@ -11,9 +11,11 @@ standard accounting for this protocol family (group element 1024, identity
 1024) regardless of the actual curve encoding in use.
 
 Decoding is canonical: a frame must name a registered kind, carry exactly
-that kind's field count with the right tags, and fixed-width kinds must
-have exactly their width.  Anything else raises `EncodingError`.  Sealed
-payloads inside messages are decoded with the same checks (`unpack`).
+that kind's field count with the right tags, fixed-width kinds must have
+exactly their width, and a point must be a finite group element (on the
+curve, not the identity).  Anything else raises `EncodingError`.  Sealed
+payloads and certificates inside messages are decoded with the same checks
+(`unpack`), so no protocol step rechecks a received point.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ PARAM_BITS: dict[str, int] = {
     "sig": 1024,
 }
 
-# Exact payload widths in bytes.  Points are checked by the curve decoder, a
+# Exact payload widths in bytes.  Points are checked by `unpack`, a
 # "sig" is two scalars of the curve (2 * scalar_bytes) and "sym" is the only
 # variable-width kind.
 FIXED_BYTES: dict[str, int] = {"identity": DIGEST_BYTES, "hash": DIGEST_BYTES, "nonce": NONCE_BYTES}
@@ -95,10 +97,10 @@ def payloads(cls: type[Message], data: bytes) -> list[bytes]:
 
 
 def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> list:
-    """Decode the field list `data` as exactly `kinds`: "point" is an on-curve
-    point, "sig" is `2 * cp.scalar_bytes` bytes, other kinds are bytes of their
-    FIXED_BYTES width, if any.  Anything else raises `EncodingError` naming
-    `what`."""
+    """Decode the field list `data` as exactly `kinds`: "point" is a finite
+    on-curve point, "sig" is `2 * cp.scalar_bytes` bytes, other kinds are
+    bytes of their FIXED_BYTES width, if any.  Anything else raises
+    `EncodingError` naming `what`."""
     raw = decode_concat(data)
     if len(raw) != len(kinds):
         raise EncodingError(f"{what}: expected {len(kinds)} fields, got {len(raw)}")
@@ -107,9 +109,12 @@ def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> l
     for kind, item in zip(kinds, raw):
         if kind == "point":
             try:
-                values.append(field_point(item, cp))
+                point = field_point(item, cp)
             except CurveError as exc:
                 raise EncodingError(f"{what}: {exc}") from exc
+            if point.is_infinity:
+                raise EncodingError(f"{what}: point at infinity rejected")
+            values.append(point)
             continue
         value = field_bytes(item)
         width = sig_width if kind == "sig" else FIXED_BYTES.get(kind)

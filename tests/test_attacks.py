@@ -342,6 +342,21 @@ def test_oracle_refused_on_p256_before_any_session(p256_suite, scheme):
     assert rng.getstate() == state  # no session drew from it
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda suite, rng: harness.run_session(suite, "munx", "foreign-auth", rng),
+     harness.HarnessError, "unknown scheme 'munx'"),
+    (lambda suite, rng: harness.run_session(suite, "proposed", "roaming", rng),
+     harness.HarnessError, "unknown scenario 'roaming'"),
+    (lambda suite, rng: make_adapter("munx", suite, rng), ValueError, "unknown scheme 'munx'"),
+    (lambda suite, rng: run_attack("replay-typo", make_adapter("mun", suite, rng), rng),
+     ValueError, "unknown attack 'replay-typo'"),
+], ids=["session-scheme", "session-scenario", "adapter-scheme", "attack-name"])
+def test_unknown_names_are_refused(toy_suite, call, error, match):
+    with pytest.raises(Exception, match=match) as raised:
+        call(toy_suite, random.Random(32))
+    assert raised.type is error
+
+
 def test_forward_secrecy_holds_with_secrets_but_no_oracle(p256_suite):
     rng = random.Random(27)
     for scheme in ("proposed", "mun"):

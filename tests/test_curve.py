@@ -15,7 +15,6 @@ from roamauth.curve import (
     brute_force_dlog,
     enumerate_group,
     is_on_curve,
-    negate,
     point_add,
     point_from_bytes,
     point_to_bytes,
@@ -32,8 +31,11 @@ def toy_table():
 
 
 def test_profiles_validate():
-    TOY.validate()
-    P256.validate()
+    """Each profile is a non-singular curve with G on it, of order n."""
+    for cp in (TOY, P256):
+        assert (4 * pow(cp.a, 3, cp.p) + 27 * pow(cp.b, 2, cp.p)) % cp.p != 0, cp.name
+        assert is_on_curve(cp, cp.generator), cp.name
+        assert scalar_mul(cp, cp.n, cp.generator) == INFINITY, cp.name
 
 
 def test_toy_group_is_complete(toy_table):
@@ -48,7 +50,8 @@ def test_identity_and_inverse_for_every_element(toy_table):
     for pt in toy_table:
         assert point_add(TOY, pt, INFINITY) == pt
         assert point_add(TOY, INFINITY, pt) == pt
-        assert point_add(TOY, pt, negate(TOY, pt)) == INFINITY
+    for pt in toy_table[1:]:
+        assert point_add(TOY, pt, Point(pt.x, -pt.y % TOY.p)) == INFINITY
 
 
 def test_group_law_matches_index_arithmetic_sampled(toy_table):
@@ -93,7 +96,7 @@ def test_toy_table_path_matches_reference(toy_table):
     n = TOY.n
     r = random.Random(12)
     seeded_point = toy_table[r.randrange(2, n - 1)]
-    for q in (TOY.generator, negate(TOY, TOY.generator), toy_table[5], seeded_point):
+    for q in (TOY.generator, Point(TOY.gx, -TOY.gy % TOY.p), toy_table[5], seeded_point):
         for k in range(1, n + 1):
             assert scalar_mul(TOY, k, q) == ec._scalar_mul_ref(TOY, k, q), (k, q)
     seeded_k = r.randrange(3, n - 1)
@@ -114,10 +117,33 @@ def test_toy_edge_inputs_take_the_reference_path(monkeypatch):
     off_curve = Point(2, 3)
     scalar_mul(TOY, TOY.n, g)
     scalar_mul(TOY, 5, INFINITY)
-    scalar_mul(TOY, 5, off_curve)
+    with pytest.raises(CurveError, match="not on the curve"):
+        scalar_mul(TOY, 5, off_curve)  # no table entry: the reference refuses it
     assert calls == [(TOY.n, g), (5, INFINITY), (5, off_curve)]
-    TOY.validate()  # the order check n*G
-    assert calls[-1] == (TOY.n, g)
+
+
+def _off_curve_points(cp):
+    """Finite points that are not group elements: off the curve, and with a
+    coordinate >= p, wider than p or not."""
+    g = cp.generator
+    points = [Point(g.x, (g.y + 1) % cp.p), Point(g.x + cp.p, g.y), Point(cp.p, 0)]
+    assert not any(is_on_curve(cp, pt) for pt in points)
+    return points
+
+
+@pytest.mark.parametrize("cp,k", [(cp, k) for cp in (TOY, P256) for k in (2, cp.n - 1, cp.n)],
+                         ids=[f"{name}-{k}" for name in ("toy", "p256") for k in ("2", "n-1", "n")])
+def test_off_curve_point_raises(cp, k):
+    """No multiplication path computes on a point outside the group: the
+    table, OpenSSL and the reference each raise `CurveError`."""
+    for off in _off_curve_points(cp):
+        for u1 in (0, 1):
+            with pytest.raises(CurveError):
+                ec.mul_add(cp, u1, k, off)
+        with pytest.raises(CurveError):
+            scalar_mul(cp, k, off)
+        with pytest.raises(CurveError):
+            ec._scalar_mul_ref(cp, k, off)
 
 
 def test_scalar_mul_identity_and_order():
@@ -189,11 +215,13 @@ def test_validate_point_contract():
 
 
 def test_brute_force_dlog_recovers_scalars(toy_table):
-    r = random.Random(11)
-    for _ in range(50):
-        k = r.randrange(1, TOY.n)
+    """The oracle against the group walked by iterated addition: every
+    element's log, and None for the identity and for points off the curve."""
+    for k in range(1, TOY.n):
         assert brute_force_dlog(TOY, toy_table[k]) == k
     assert brute_force_dlog(TOY, INFINITY) is None
+    for off in _off_curve_points(TOY):
+        assert brute_force_dlog(TOY, off) is None
 
 
 def test_brute_force_dlog_refuses_large_groups():

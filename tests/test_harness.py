@@ -404,7 +404,9 @@ def test_a_played_identity_point_is_refused_at_the_bus(toy_suite):
 
     res = run_session(toy_suite, "proposed", "foreign-auth", random.Random(41),
                       play={"FA": identity_challenge})
-    assert (res.outcome["error"], res.outcome["party"]) == ("CurveError", "HA")
+    assert res.outcome["abort"] == ("undeliverable message: foreign-challenge: "
+                                    "point at infinity rejected")
+    assert (res.outcome["error"], res.outcome["party"]) == ("EncodingError", "HA")
     assert [e.kind for e in res.transcript.entries] == ["login-request"]
 
 

@@ -4,7 +4,7 @@ against two reference multiplications and a `point_add`, and
 `CryptoSuite._verify_digest` against itself with `mul_add` replaced by that
 reference.  Then the ctypes binding itself: refused inputs, a failed load, the
 lazy import, the absence of any other OpenSSL binding, a free for every
-allocation and the one cached generator object."""
+allocation and no Python point check before OpenSSL."""
 
 import os
 import random
@@ -16,7 +16,8 @@ import _hashlib
 import pytest
 
 from roamauth import curve as ec
-from roamauth.curve import INFINITY, P256, TOY, Point, negate, scalar_mul
+from roamauth.curve import INFINITY, P256, TOY, Point, scalar_mul
+from roamauth.harness import build_mun_world, run_session
 from roamauth.suite import CryptoSuite, Signature
 
 N = P256.n
@@ -49,7 +50,7 @@ def test_fixed_base_matches_reference():
 
 def test_variable_base_matches_reference(points):
     rng = random.Random(2)
-    bases = points + [negate(P256, G)]  # -G shares G's x but is not G
+    bases = points + [Point(G.x, -G.y % P256.p)]  # -G shares G's x but is not G
     for i in range(100):
         k = rng.randrange(2, N - 1)
         q = bases[i % len(bases)]
@@ -67,7 +68,6 @@ def test_edge_inputs_take_the_reference_path(no_openssl_mul, points):
     scalar_mul(P256, N, points[0])
     assert scalar_mul(P256, 5, INFINITY) == INFINITY
     assert scalar_mul(TOY, 5, TOY.generator) == ec._scalar_mul_ref(TOY, 5, TOY.generator)
-    P256.validate()  # the order check n*G
 
 
 def test_in_range_scalars_take_the_openssl_path(monkeypatch, points):
@@ -78,14 +78,6 @@ def test_in_range_scalars_take_the_openssl_path(monkeypatch, points):
         scalar_mul(P256, k, G)
         scalar_mul(P256, k, points[0])
     assert calls == [1, 1, 2, 2, N - 2, N - 2, N - 1, N - 1]
-
-
-def test_off_curve_point_gives_the_reference_result(no_openssl_mul, points):
-    rng = random.Random(3)
-    for q in points[:4]:
-        off = Point(q.x, (q.y + 1) % P256.p)
-        k = rng.randrange(2, N - 1)
-        assert scalar_mul(P256, k, off) == ec._scalar_mul_ref(P256, k, off)
 
 
 def _mul_add_ref(cp, u1, u2, pt):
@@ -140,12 +132,19 @@ def test_binding_refuses_points_off_the_group(bad, g):
         ec._p256_mul(5, bad, g)
 
 
-def test_failed_load_raises_curve_error(monkeypatch):
+def test_failed_load_raises_import_error(monkeypatch):
+    """A failed load escapes `scalar_mul` and `run_session` as the binding's
+    `ImportError`, as the AEAD's does, and is not scored as an abort."""
+    suite = CryptoSuite(P256)
+    rng = random.Random(1)
+    world = build_mun_world(suite, rng)
     ec._libcrypto.cache_clear()
     monkeypatch.setattr(_hashlib, "__file__", "/nonexistent/_hashlib.so")
     try:
-        with pytest.raises(ec.CurveError, match="/nonexistent/_hashlib.so"):
+        with pytest.raises(ImportError, match="/nonexistent/_hashlib.so"):
             scalar_mul(P256, 5, G)
+        with pytest.raises(ImportError, match="/nonexistent/_hashlib.so"):
+            run_session(suite, "mun", "foreign-auth", rng, world=world)
     finally:
         monkeypatch.undo()
         ec._libcrypto.cache_clear()
@@ -337,18 +336,18 @@ def test_binding_frees_every_object_and_clears_every_scalar(monkeypatch, points,
     assert proxy.points == set() and proxy.scalars == set()
 
 
-def test_generator_is_one_object_and_both_forms_reach_openssl(monkeypatch):
+def test_generator_is_one_object_and_both_forms_reach_openssl(monkeypatch, points):
+    """The cached generator, an equal fresh object and any other point go to
+    OpenSSL with no Python on-curve check before it: OpenSSL checks."""
     assert P256.generator is P256.generator
     fresh = Point(P256.gx, P256.gy)
     assert fresh is not P256.generator and fresh == P256.generator
+    k, bases = 0xBADC0DE, (P256.generator, fresh, points[0])
+    expected = [ec._scalar_mul_ref(P256, k, pt) for pt in bases]
     calls, checked = [], []
     real_mul, real_check = ec._p256_mul, ec.is_on_curve
     monkeypatch.setattr(ec, "_p256_mul", lambda k, pt: calls.append(pt) or real_mul(k, pt))
     monkeypatch.setattr(ec, "is_on_curve", lambda cp, pt: checked.append(pt) or real_check(cp, pt))
-    k = 0xBADC0DE
-    expected = ec._scalar_mul_ref(P256, k, G)
-    assert scalar_mul(P256, k, P256.generator) == expected
-    assert checked == []  # the cached generator is not rechecked
-    assert scalar_mul(P256, k, fresh) == expected
-    assert checked == [fresh]
-    assert calls == [P256.generator, fresh] and calls[1] is fresh
+    assert [scalar_mul(P256, k, pt) for pt in bases] == expected
+    assert checked == []
+    assert calls == list(bases) and calls[1] is fresh

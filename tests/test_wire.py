@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from roamauth import mun as mun_mod
 from roamauth import proposed as prop
 from roamauth import wire
-from roamauth.curve import TOY
+from roamauth.curve import INFINITY, P256, TOY
 from roamauth.encoding import EncodingError, decode_concat, encode_field
 from roamauth.harness import run_session
 from roamauth.record import FrozenInstanceError
-from roamauth.suite import CryptoSuite
+from roamauth.suite import Certificate, CryptoSuite
 
 SUITE = CryptoSuite(TOY)
 
@@ -273,9 +273,50 @@ def test_identity_point_is_refused_at_the_bus(scheme, scenario, kind, index, rec
         return _replace_field(raw, index, b"\x00") if msg_kind == kind else raw
 
     res = run_session(SUITE, scheme, scenario, random.Random(8), adversary=adversary)
-    assert res.outcome["abort"] == "undeliverable message: point at infinity rejected"
-    assert (res.outcome["error"], res.outcome["party"]) == ("CurveError", receiver)
+    assert res.outcome["abort"] == f"undeliverable message: {kind}: point at infinity rejected"
+    assert (res.outcome["error"], res.outcome["party"]) == ("EncodingError", receiver)
     assert kind not in [e.kind for e in res.transcript.entries]
+
+
+def _identity_key(cert: Certificate) -> Certificate:
+    return Certificate(cert.subject_id, INFINITY, cert.signature)
+
+
+def _sealed_identity(case):
+    """A played agent that seals the identity point into its payload: as the
+    user's point or its certificate key (foreign agent), or as the user's
+    point or its certificate key in the answer (home agent)."""
+    def play(fn, args):
+        if case == "foreign-user-point":
+            suite, fa, m1, rng = args
+            return fn(suite, fa, m1.replace(user_eph=INFINITY), rng)
+        if case == "foreign-cert-key":
+            suite, fa, m1, rng = args
+            return fn(suite, fa.replace(cert=_identity_key(fa.cert)), m1, rng)
+        if fn is not prop.ha_process:
+            return fn(*args)
+        suite, ha, m2, rng = args
+        sym_key, user_eph, cert, _tag, _masked = prop.open_wrap(suite, ha.dh.priv, m2)
+        cert_bytes = (_identity_key(ha.cert) if case == "home-cert-key"
+                      else ha.cert).to_bytes(suite.cp)
+        return prop.home_answer(suite, sym_key, ha.signer.priv, cert_bytes, cert.subject_id,
+                                INFINITY if case == "home-user-point" else user_eph,
+                                m2.foreign_eph, bytes(20), rng)
+    return play
+
+
+@pytest.mark.parametrize("curve", [TOY, P256], ids=["toy", "p256"])
+@pytest.mark.parametrize("case,player,receiver", [
+    ("foreign-user-point", "FA", "HA"), ("foreign-cert-key", "FA", "HA"),
+    ("home-user-point", "HA", "FA"), ("home-cert-key", "HA", "FA"),
+])
+def test_identity_point_in_a_sealed_payload_or_certificate_aborts(curve, case, player,
+                                                                   receiver):
+    res = run_session(CryptoSuite(curve), "proposed", "foreign-auth", random.Random(9),
+                      play={player: _sealed_identity(case)})
+    assert res.outcome["abort"].startswith("DecryptionFailure: "), res.outcome
+    assert res.outcome["abort"].endswith(": point at infinity rejected"), res.outcome
+    assert (res.outcome["error"], res.outcome["party"]) == ("DecryptionFailure", receiver)
 
 
 def test_deserialize_rejects_an_off_curve_point_as_encoding_error():
