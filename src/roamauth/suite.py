@@ -6,13 +6,20 @@ protocol logic:
 * hash: SHA-256 truncated to 160 bits,
 * symmetric encryption: AES-256-GCM in hashlib's libcrypto (`curve._libcrypto`),
 * signatures: ECDSA over the configured curve with deterministic nonces
-  (RFC 6979), signing a 160-bit digest,
+  (RFC 6979), signing a 160-bit digest; the nonce is inverted blinded by a
+  fresh OS-random factor, so the inversion's running time does not follow
+  the nonce's length,
 * point-to-key derivation: SHA-256 of the canonical point encoding.
 
 A `CryptoSuite` binds these to a curve profile.  All methods are pure given
 their inputs plus the caller-supplied randomness source; the public methods
 report into the active operation counter (see instrument.py), while private
 helpers stay off the books.
+
+A suite remembers the last `CERT_MEMO_CAP` (CA key, certificate) pairs whose
+check succeeded, and answers a repeat check from that memo without an ECDSA
+verification.  `vcert` counts the checks made, memo answers included, and a
+repeat still shows up in the trace's `suite.vcert.self_ms`, as a lookup.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .record import Record
 DIGEST_BYTES = 20  # 160-bit digests and identities
 GCM_NONCE_BYTES = 12
 GCM_TAG_BYTES = 16
+CERT_MEMO_CAP = 64  # verified (CA key, certificate) pairs a suite remembers, oldest out first
 _GET_TAG, _SET_TAG = 0x10, 0x11  # EVP_CTRL_GCM_GET_TAG, EVP_CTRL_GCM_SET_TAG
 
 
@@ -177,11 +185,20 @@ def _rfc6979_nonce(cp: CurveParams, priv: int, digest: bytes) -> int:
         V = hmac.digest(K, V, "sha256")
 
 
+# the ECDSA nonce's blinding factor: OS entropy, never the seeded session rng
+_BLINDING = random.SystemRandom()
+
+
 class CryptoSuite:
-    """Primitive set bound to one curve profile."""
+    """Primitive set bound to one curve profile, shared by every party of a run.
+
+    `verify_certificate` answers a repeat of a check that succeeded from the
+    suite's memo of verified (CA key, certificate) pairs, keyed by value and
+    capped at `CERT_MEMO_CAP`; it still counts one `vcert` per check."""
 
     def __init__(self, cp: CurveParams):
         self.cp = cp
+        self._verified_certs: dict[tuple[Point, Certificate], None] = {}  # oldest first
 
     # -- hashing and masking -------------------------------------------------
 
@@ -258,12 +275,15 @@ class CryptoSuite:
     # -- signatures ------------------------------------------------------------
 
     def _sign_digest(self, priv: int, digest: bytes) -> Signature:
+        """s = b * (k*b)^-1 * (z + r*d) mod n, which equals k^-1 * (z + r*d):
+        the inverse is taken of k*b, whose length does not follow k's."""
         cp = self.cp
         z = _bits2int(digest, cp.n)
         while True:
             k = _rfc6979_nonce(cp, priv, digest)
             r = ec.scalar_mul(cp, k, cp.generator).x % cp.n
-            s = pow(k, -1, cp.n) * (z + r * priv) % cp.n
+            b = _BLINDING.randrange(1, cp.n)
+            s = b * pow(k * b % cp.n, -1, cp.n) * (z + r * priv) % cp.n
             if r and s:
                 return Signature(r, s)
             digest = _sha256(digest)[:DIGEST_BYTES]  # pragma: no cover
@@ -301,10 +321,20 @@ class CryptoSuite:
 
     def verify_certificate(self, ca_pub: Point, cert: Certificate) -> bool:
         """Root-CA check; tracked apart from protocol signature verification
-        because the comparison tables do not itemize certificate handling."""
+        because the comparison tables do not itemize certificate handling.
+        A pair that passed before is answered from the memo; only successes
+        are remembered, so a failing check is recomputed every time."""
         instrument.record("vcert")
+        verified, pair = self._verified_certs, (ca_pub, cert)
+        if pair in verified:
+            return True
         digest = _sha256(self.encode([cert.subject_id, cert.public_key]))[:DIGEST_BYTES]
-        return self._verify_digest(ca_pub, digest, cert.signature)
+        if not self._verify_digest(ca_pub, digest, cert.signature):
+            return False
+        verified[pair] = None
+        if len(verified) > CERT_MEMO_CAP:
+            del verified[next(iter(verified))]
+        return True
 
 
 def identity_from_label(label: str) -> bytes:

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roamauth.curve import P256, TOY, enumerate_group, scalar_mul
+from roamauth import suite as suite_mod
+from roamauth.curve import INFINITY, P256, TOY, Point, enumerate_group, scalar_mul
 from roamauth.instrument import OpCounts, counting
 from roamauth.suite import (
+    CERT_MEMO_CAP,
     AuthenticationError,
+    Certificate,
     CryptoSuite,
     Signature,
     SignatureFormatError,
@@ -100,8 +103,6 @@ def test_kdf_point_distinct_over_whole_toy_group():
 
 def test_kdf_point_rejects_identity():
     suite = CryptoSuite(TOY)
-    from roamauth.curve import INFINITY
-
     with pytest.raises(SuiteError):
         suite.kdf_point(INFINITY)
 
@@ -276,11 +277,102 @@ def test_signature_encoding_roundtrip(p256_suite, rng):
         Signature.from_bytes(P256, b"\x01\x02\x03")
 
 
+@pytest.mark.parametrize("cp", [TOY, P256], ids=["toy", "p256"])
+def test_blinded_inverse_gives_the_plain_signature(cp, monkeypatch):
+    # s = b * (k*b)^-1 * (z + r*d) must equal k^-1 * (z + r*d) for every
+    # blinding factor b in [1, n-1], the ends included.
+    r = random.Random(14)
+    blinds = iter([1, 2, cp.n - 1, *(r.randrange(1, cp.n) for _ in range(37))])
+    drawn = []
+
+    class Blinding:
+        def randrange(self, lo, hi):
+            assert (lo, hi) == (1, cp.n)
+            drawn.append(next(blinds))
+            return drawn[-1]
+
+    monkeypatch.setattr(suite_mod, "_BLINDING", Blinding())
+    suite = CryptoSuite(cp)
+    for _ in range(40):
+        priv, digest = r.randrange(1, cp.n), r.randbytes(20)
+        k = _rfc6979_nonce(cp, priv, digest)
+        sig_r = scalar_mul(cp, k, cp.generator).x % cp.n
+        plain = pow(k, -1, cp.n) * (suite_mod._bits2int(digest, cp.n) + sig_r * priv) % cp.n
+        assert suite._sign_digest(priv, digest) == Signature(sig_r, plain)
+    assert len(drawn) == 40
+
+
+def _genuine_certificate(suite, rng):
+    ca = suite.keygen(rng)
+    cert = suite.issue_certificate(ca, identity_from_label("fa"), suite.keygen(rng).pub)
+    digest = hashlib.sha256(suite.encode([cert.subject_id, cert.public_key])).digest()[:20]
+    return ca, cert, digest
+
+
+def _fresh_and_remembering(ca, cert):
+    """A fresh P-256 suite, then one whose memo holds the genuine certificate."""
+    yield CryptoSuite(P256)
+    suite = CryptoSuite(P256)
+    assert suite.verify_certificate(ca.pub, cert)
+    assert (ca.pub, cert) in suite._verified_certs
+    yield suite
+
+
 def test_malformed_signature_values_rejected(p256_suite, rng):
-    kp = p256_suite.keygen(rng)
-    digest = b"\x01" * 20
-    assert not p256_suite._verify_digest(kp.pub, digest, Signature(0, 1))
-    assert not p256_suite._verify_digest(kp.pub, digest, Signature(1, P256.n))
+    ca, cert, digest = _genuine_certificate(p256_suite, rng)
+    sig, n = cert.signature, P256.n
+    refused = {
+        "r = 0": (ca.pub, Signature(0, sig.s)),
+        "s = 0": (ca.pub, Signature(sig.r, 0)),
+        "r = n": (ca.pub, Signature(n, sig.s)),
+        "s = n": (ca.pub, Signature(sig.r, n)),
+        "identity key": (INFINITY, sig),
+        "off-curve key": (Point(ca.pub.x, (ca.pub.y + 1) % P256.p), sig),
+        "wrong signature": (ca.pub, p256_suite._sign_digest(ca.priv, bytes(20))),
+    }
+    for suite in _fresh_and_remembering(ca, cert):
+        assert suite._verify_digest(ca.pub, digest, sig)
+        for case, (pub, bad) in refused.items():
+            assert not suite._verify_digest(pub, digest, bad), case
+
+
+def test_failed_certificate_checks_are_never_remembered(rng, monkeypatch):
+    suite = CryptoSuite(P256)
+    ca, cert, _ = _genuine_certificate(suite, rng)
+    forged = cert.replace(subject_id=identity_from_label("evil"))
+    calls = []
+    verify = suite._verify_digest
+    monkeypatch.setattr(suite, "_verify_digest", lambda *a: calls.append(a) or verify(*a))
+    for _ in range(3):
+        assert not suite.verify_certificate(ca.pub, forged)
+    assert len(calls) == 3 and not suite._verified_certs
+    assert suite.verify_certificate(ca.pub, cert)
+    for _ in range(3):
+        assert not suite.verify_certificate(ca.pub, forged)
+    assert len(calls) == 7 and list(suite._verified_certs) == [(ca.pub, cert)]
+
+
+def test_a_remembered_certificate_is_answered_without_verifying(rng, monkeypatch):
+    suite = CryptoSuite(P256)
+    ca, cert, _ = _genuine_certificate(suite, rng)
+    assert suite.verify_certificate(ca.pub, cert)
+    monkeypatch.setattr(suite, "_verify_digest", lambda *a: pytest.fail("memo hit verified"))
+    again = Certificate.from_bytes(P256, cert.to_bytes(P256))  # equal, not the same object
+    ops = OpCounts()
+    with counting(ops):
+        assert suite.verify_certificate(ca.pub, again)
+    assert ops.as_dict() == {**OpCounts().as_dict(), "vcert": 1}
+
+
+def test_the_memo_holds_at_most_its_cap_oldest_out_first(rng):
+    suite = CryptoSuite(TOY)
+    ca = suite.keygen(rng)
+    certs = [suite.issue_certificate(ca, identity_from_label(f"fa-{i}"), ca.pub)
+             for i in range(CERT_MEMO_CAP + 1)]
+    for cert in certs:
+        assert suite.verify_certificate(ca.pub, cert)
+        assert len(suite._verified_certs) <= CERT_MEMO_CAP
+    assert list(suite._verified_certs) == [(ca.pub, cert) for cert in certs[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +387,25 @@ def test_certificate_issue_and_verify(p256_suite, rng):
 
 
 def test_certificate_tamper_detected(p256_suite, rng):
-    ca = p256_suite.keygen(rng)
-    subject = p256_suite.keygen(rng)
-    cert = p256_suite.issue_certificate(ca, identity_from_label("fa"), subject.pub)
-    forged = cert.replace(subject_id=identity_from_label("evil"))
-    assert not p256_suite.verify_certificate(ca.pub, forged)
-    other_ca = p256_suite.keygen(rng)
-    assert not p256_suite.verify_certificate(other_ca.pub, cert)
+    ca, cert, _ = _genuine_certificate(p256_suite, rng)
+    sig = cert.signature
+    refused = {
+        "subject id": (ca.pub, cert.replace(subject_id=identity_from_label("evil"))),
+        "public key": (ca.pub, cert.replace(public_key=ca.pub)),
+        "r": (ca.pub, cert.replace(signature=Signature(sig.r + 1, sig.s))),
+        "s": (ca.pub, cert.replace(signature=Signature(sig.r, sig.s + 1))),
+        "CA key": (p256_suite.keygen(rng).pub, cert),
+    }
+    for remembered, suite in enumerate(_fresh_and_remembering(ca, cert)):
+        for case, (ca_pub, forged) in refused.items():
+            assert not suite.verify_certificate(ca_pub, forged), case
+        assert list(suite._verified_certs) == [(ca.pub, cert)][:remembered]
 
 
 def test_certificate_bytes_roundtrip(p256_suite, rng):
     ca = p256_suite.keygen(rng)
     subject = p256_suite.keygen(rng)
     cert = p256_suite.issue_certificate(ca, identity_from_label("fa"), subject.pub)
-    from roamauth.suite import Certificate
-
     assert Certificate.from_bytes(P256, cert.to_bytes(P256)) == cert
 
 
@@ -317,7 +413,6 @@ def test_certificate_subject_must_be_an_identity(p256_suite, rng):
     ca = p256_suite.keygen(rng)
     cert = p256_suite.issue_certificate(ca, identity_from_label("fa"), ca.pub)
     from roamauth.encoding import EncodingError
-    from roamauth.suite import Certificate
 
     short = p256_suite.encode([cert.subject_id[:19], cert.public_key,
                                cert.signature.to_bytes(P256)])
