@@ -31,23 +31,17 @@ from functools import cache, cached_property
 
 from .record import Record
 
-_set = object.__setattr__  # sets a field of a frozen record
-
 
 class CurveError(ValueError):
     """Invalid curve parameter, point, or scalar."""
 
 
 class Point(Record, frozen=True):
-    """Affine point (x, y), or the group identity when both are None.  Built, compared
-    and hashed by hand (it keys the toy table); `__init__` keeps reads fast."""
+    """Affine point (x, y), or the group identity when both are None.  Compared and
+    hashed by hand (it keys the toy table)."""
 
     x: int | None
     y: int | None
-
-    def __init__(self, x: int | None, y: int | None) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
 
     def __eq__(self, other) -> bool:
         if type(other) is not Point:

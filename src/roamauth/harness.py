@@ -141,13 +141,6 @@ class TranscriptEntry(Record, frozen=True):
     phase: str = "main"
     secure: bool = False  # sent over the registration secure channel
 
-    def __init__(self, sender: str, receiver: str, kind: str, payload: bytes, bits: int,
-                 phase: str = "main", secure: bool = False) -> None:
-        fields = self.__dict__  # built for every delivery
-        fields["sender"], fields["receiver"], fields["kind"] = sender, receiver, kind
-        fields["payload"], fields["bits"] = payload, bits
-        fields["phase"], fields["secure"] = phase, secure
-
 
 _JSONL_HEADER = {"scheme": str, "scenario": str, "curve": str}
 _JSONL_ENTRY = {"i": int, "sender": str, "receiver": str, "kind": str, "phase": str,
@@ -159,10 +152,6 @@ class Transcript(Record):
     scenario: str
     curve: str
     entries: list[TranscriptEntry] = Factory(list)
-
-    def __init__(self, scheme: str, scenario: str, curve: str, entries=None) -> None:
-        self.scheme, self.scenario, self.curve = scheme, scenario, curve  # one per session
-        self.entries = [] if entries is None else entries
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"scheme": self.scheme, "scenario": self.scenario, "curve": self.curve})]
@@ -361,14 +350,6 @@ class CostReport(Record):
     paper_ops: dict[str, dict[str, int]] | None
     notes: list[str]
 
-    def __init__(self, scheme, scenario, curve, rule, rounds, phase_rounds, mobile_bits,
-                 paper_bits, paper_rounds, message_bits, op_counts, paper_ops, notes) -> None:
-        self.scheme, self.scenario, self.curve = scheme, scenario, curve  # one per session
-        self.rule, self.rounds, self.phase_rounds = rule, rounds, phase_rounds
-        self.mobile_bits, self.paper_bits, self.paper_rounds = mobile_bits, paper_bits, paper_rounds
-        self.message_bits, self.op_counts, self.paper_ops = message_bits, op_counts, paper_ops
-        self.notes = notes
-
     @property
     def bits_delta(self) -> int | None:
         if self.paper_bits is None:
@@ -382,10 +363,16 @@ class CostReport(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "CostReport":
-        """Parse `to_json` output; any other record raises `HarnessError`."""
+        """Parse `to_json` output; any other record, or a `bits_delta` other
+        than `mobile_bits - paper_bits` (null with `paper_bits`), raises
+        `HarnessError`."""
         data = strict_record(text, _COST_REPORT, "cost report")
-        del data["bits_delta"]
-        return cls(**data)
+        bits_delta = data.pop("bits_delta")
+        report = cls(**data)
+        if bits_delta != report.bits_delta:
+            raise HarnessError(f"cost report: bits_delta {bits_delta} is not mobile_bits - "
+                               f"paper_bits ({report.bits_delta})")
+        return report
 
     def comm_csv(self) -> str:
         buf = io.StringIO()
@@ -455,9 +442,6 @@ class SessionResult(Record):
     transcript: Transcript
     report: CostReport
     outcome: dict
-
-    def __init__(self, transcript: Transcript, report: CostReport, outcome: dict) -> None:
-        self.transcript, self.report, self.outcome = transcript, report, outcome
 
 
 def run_session(

@@ -35,20 +35,6 @@ class OpCounts(Record):
     mac: int = 0
     vcert: int = 0
 
-    def __init__(self, xor=0, hash=0, mul=0, mul_pre=0, esym=0, dsym=0, gsign=0, vsign=0,
-                 kdf=0, mac=0, vcert=0) -> None:
-        self.xor = xor
-        self.hash = hash
-        self.mul = mul
-        self.mul_pre = mul_pre
-        self.esym = esym
-        self.dsym = dsym
-        self.gsign = gsign
-        self.vsign = vsign
-        self.kdf = kdf
-        self.mac = mac
-        self.vcert = vcert
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
 

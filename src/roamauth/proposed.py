@@ -129,11 +129,6 @@ class UserSession(Record):
     user_eph: Point
     id_key: bytes          # h(ID || y), recovered from the card
 
-    def __init__(self, eph_priv: int | None, user_eph: Point, id_key: bytes) -> None:
-        self.eph_priv = eph_priv
-        self.user_eph = user_eph
-        self.id_key = id_key
-
     def wipe(self) -> None:
         self.eph_priv = None
 
@@ -154,10 +149,6 @@ class ForeignSession(Record):
 class SessionKey(Record, frozen=True):
     value: bytes
     epoch: int = 0
-
-    def __init__(self, value: bytes, epoch: int = 0) -> None:
-        fields = self.__dict__
-        fields["value"], fields["epoch"] = value, epoch
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class Signature(Record, frozen=True):
     r: int
     s: int
 
-    def __init__(self, r: int, s: int) -> None:
-        fields = self.__dict__
-        fields["r"], fields["s"] = r, s
-
     def to_bytes(self, cp: CurveParams) -> bytes:
         w = cp.scalar_bytes
         return self.r.to_bytes(w, "big") + self.s.to_bytes(w, "big")

@@ -204,6 +204,23 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         "assert not loaded, loaded\n", "-S")
 
 
+def test_import_compiles_no_record_init_but_the_curves():
+    """Each record compiles its `__init__` on its first construction, not at
+    import: after importing the attack suite and the CLI, only `Point` (the
+    identity) and `CurveParams` (the two curves) have been built."""
+    _run_in_subprocess(
+        "import roamauth.attacks, roamauth.cli\n"
+        "from roamauth.record import Record\n"
+        "def subclasses(cls):\n"
+        "    for sub in cls.__subclasses__():\n"
+        "        yield sub\n"
+        "        yield from subclasses(sub)\n"
+        "classes = list(subclasses(Record))\n"
+        "built = sorted(cls.__name__ for cls in classes\n"
+        "               if vars(cls)['__init__'].__qualname__ != '_first_init.<locals>.__init__')\n"
+        "assert len(classes) > 40 and built == ['CurveParams', 'Point'], built\n")
+
+
 def test_p256_session_uses_no_other_ec_binding():
     """P-256 math reaches OpenSSL only through `curve`'s ctypes binding."""
     _run_in_subprocess(

@@ -6,7 +6,8 @@ protocol values: by position and by keyword, refusing a missing, an extra
 or a doubled field, with its defaults (a mutable default is fresh for each
 instance), equal by type and fields, hashed and refusing assignment when
 frozen, unhashable and assignable when not, and copied with changes by
-`replace`.
+`replace`.  Two probe records, one frozen, whose fields are named like the
+other names of a compiled `__init__`, take the same tests.
 """
 
 import inspect
@@ -15,7 +16,7 @@ from typing import get_type_hints
 import pytest
 
 from roamauth import attacks, cli, curve, encoding, harness, instrument, mun, proposed, suite, wire
-from roamauth.record import Record
+from roamauth.record import Factory, Record
 
 _OPS = "xor hash mul mul_pre esym dsym gsign vsign kdf mac vcert"
 
@@ -59,8 +60,19 @@ RECORDS = [
     (attacks.AttackRun, False, "adversary_key honest_key completed detail extra", {"extra": {}}),
     (attacks.PasswordVerifier, False, "check missing", {"missing": ()}),
 ]
+# Probes whose fields are named like the other names of a compiled `__init__`
+# (its `self` and the globals that hold the defaults of fields 6 and 7), or
+# would be without the extra underscore.
+_PROBE_FIELDS = "self _self _6 _7 made plain"
+PROBES = [
+    (type(f"{name}Probe", (Record,),
+          {"__annotations__": dict.fromkeys(_PROBE_FIELDS.split(), int),
+           "made": Factory(list), "plain": 7}, frozen=frozen),
+     frozen, _PROBE_FIELDS, {"made": [], "plain": 7})
+    for name, frozen in (("", False), ("Frozen", True))
+]
 CASES = [pytest.param(cls, frozen, tuple(names.split()), defaults, id=cls.__name__)
-         for cls, frozen, names, defaults in RECORDS]
+         for cls, frozen, names, defaults in RECORDS + PROBES]
 
 
 def field_names(cls) -> tuple:
@@ -91,6 +103,19 @@ def test_every_record_class_is_covered():
              for obj in vars(module).values() if is_record_class(obj)}
     assert found == {cls for cls, *_ in RECORDS}
     assert len(RECORDS) == 30
+
+
+def test_no_record_class_writes_its_own_init():
+    """Every record's `__init__`, wire messages included, is the stub that
+    compiles one from its fields on its first construction, or that one."""
+    classes = {obj for module in (attacks, cli, curve, encoding, harness, instrument, mun,
+                                  proposed, suite, wire)
+               for obj in vars(module).values()
+               if inspect.isclass(obj) and issubclass(obj, Record)}
+    assert len(classes) > len(RECORDS)
+    hand_written = sorted(cls.__name__ for cls in classes if "__init__" in vars(cls) and
+                          vars(cls)["__init__"].__code__.co_filename == inspect.getsourcefile(cls))
+    assert hand_written == []
 
 
 @pytest.mark.parametrize("cls,frozen,names,defaults", CASES)

@@ -236,10 +236,14 @@ def test_probed_cost_report_fields_are_refused(work):
     cost = work[2]["cost"]
     for key, value in (("message_bits", [1]), ("message_bits", [{}]), ("op_counts", {"MU": 1}),
                        ("paper_ops", {"MU": {"xor": "2"}}), ("phase_rounds", {"main": None}),
-                       ("notes", "rule"), ("rounds", True), ("curve", "p256")):
+                       ("notes", "rule"), ("rounds", True), ("curve", "p256"),
+                       ("bits_delta", 12345), ("bits_delta", None)):
         assert not _check(work, "cost", {**cost, key: value}), key
     assert _check(work, "cost", {**cost, "paper_ops": None, "paper_bits": None,
                                  "bits_delta": None})
+    # bits_delta is mobile_bits - paper_bits, and null exactly when paper_bits is
+    assert not _check(work, "cost", {**cost, "paper_bits": None})
+    assert not _check(work, "cost", {**cost, "paper_bits": cost["paper_bits"] + 1})
 
 
 def _survives_binary(value) -> bool:
