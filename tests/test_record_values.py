@@ -61,9 +61,9 @@ RECORDS = [
     (attacks.PasswordVerifier, False, "check missing", {"missing": ()}),
 ]
 # Probes whose fields are named like the other names of a compiled `__init__`
-# (its `self` and the globals that hold the defaults of fields 6 and 7), or
-# would be without the extra underscore.
-_PROBE_FIELDS = "self _self _6 _7 made plain"
+# (its `self` and the globals that hold the defaults of fields 5 and 6) with
+# each shorter run of leading underscores than the one it uses.
+_PROBE_FIELDS = "self _self __self _5 __6 made plain"
 PROBES = [
     (type(f"{name}Probe", (Record,),
           {"__annotations__": dict.fromkeys(_PROBE_FIELDS.split(), int),
