@@ -333,7 +333,7 @@ def login_begin(
     id_key = suite.xor160(card.masked_key, masked_pw)  # recovers h(ID || y)
     a = suite.rand_scalar(rng)
     user_eph = suite.scalar_mul(a, suite.cp.generator, precomputable=True)
-    dh_point = suite.scalar_mul(a, card.home_dh_pub, precomputable=True)
+    dh_point = suite.scalar_mul(a, card.home_dh_pub, precomputable=True, long_term=True)
     masked_id = mask_identity(suite, mu.user_id, dh_point)
     user_tag = suite.hash_fields([id_key, dh_point, card.home_id])
     msg = LoginRequest(user_eph, masked_id, card.home_dh_pub, user_tag, card.home_id)

@@ -7,6 +7,8 @@ once; the first construction of a class compiles its `__init__` from them.
 Records are built by position or keyword, equal by type and fields, and copied
 with changes by `replace`; a frozen one hashes by its fields and refuses
 assignment.  `_fields` and `_field_defaults` name the fields and defaults.
+A field may not take the name of a field or other attribute of a base class
+(`_fields`, `replace`, `__init__`), which an instance would shadow.
 """
 
 from operator import attrgetter
@@ -28,10 +30,17 @@ class Record:
 
     _fields = ()
     _field_defaults = {}
+    _values = None
 
     def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
+        for name in own:
+            owner = next((base for base in cls.__mro__[1:]
+                          if name in vars(base) or name in getattr(base, "_fields", ())), None)
+            if owner:
+                raise TypeError(f"{cls.__qualname__}: field {name!r} would hide "
+                                f"{owner.__qualname__}.{name}")
         cls._fields = cls._fields + own
         cls._field_defaults = {**cls._field_defaults,
                                **{name: vars(cls)[name] for name in own if name in vars(cls)}}

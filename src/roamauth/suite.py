@@ -215,11 +215,13 @@ class CryptoSuite:
 
     # -- group operations ----------------------------------------------------
 
-    def scalar_mul(self, k: int, pt: Point, *, precomputable: bool = False) -> Point:
+    def scalar_mul(self, k: int, pt: Point, *, precomputable: bool = False,
+                   long_term: bool = False) -> Point:
         """Point scalar multiplication, tagged precomputable when it does not
-        depend on any received message."""
+        depend on any received message.  `long_term` marks pt as a long-term
+        key the caller holds from its own records (see `curve.scalar_mul`)."""
         instrument.record("mul", pre=precomputable)
-        return ec.scalar_mul(self.cp, k, pt)
+        return ec.scalar_mul(self.cp, k, pt, long_term=long_term)
 
     def validate_point(self, pt: Point) -> Point:
         return ec.validate_point(self.cp, pt)

@@ -54,6 +54,8 @@ class Message(Record, frozen=True):
     the id byte and nominal bits and registers the class under its id; a
     duplicate id or an unknown kind is refused."""
 
+    KIND, _prefix, _kinds, _bits = "", b"", (), 0  # set per subclass, so no field takes these names
+
     def __init_subclass__(cls, kind_id: int, kind: str, **kwargs) -> None:
         if kind_id in _BY_ID:
             raise ValueError(f"duplicate message kind id {kind_id} "

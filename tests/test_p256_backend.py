@@ -4,20 +4,24 @@ against two reference multiplications and a `point_add`, and
 `CryptoSuite._verify_digest` against itself with `mul_add` replaced by that
 reference.  Then the ctypes binding itself: refused inputs, a failed load, the
 lazy import, the absence of any other OpenSSL binding, a free for every
-allocation and no Python point check before OpenSSL."""
+allocation and no Python point check before OpenSSL.  Last, the fixed-base
+tables of long-term points: products through a table against the reference,
+and who counts uses, when a table is built and how one is evicted."""
 
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import _hashlib
 import pytest
 
 from roamauth import curve as ec
+from roamauth import proposed as prop
 from roamauth.curve import INFINITY, P256, TOY, Point, scalar_mul
-from roamauth.harness import build_mun_world, run_session
+from roamauth.harness import build_mun_world, build_proposed_world, run_session
 from roamauth.suite import CryptoSuite, Signature
 
 N = P256.n
@@ -368,3 +372,194 @@ def test_generator_is_one_object_and_both_forms_reach_openssl(monkeypatch, point
     assert [scalar_mul(P256, k, pt) for pt in bases] == expected
     assert checked == []
     assert calls == list(bases) and calls[1] is fresh
+
+
+# ---------------------------------------------------------------------------
+# fixed-base tables of long-term points
+
+
+@pytest.fixture()
+def tables(monkeypatch):
+    """Empty use counts and tables for one test; the tables it builds are freed."""
+    monkeypatch.setattr(ec, "_table_uses", {})
+    monkeypatch.setattr(ec, "_tables", {})
+    yield
+    for table in ec._tables.values():
+        ec._libcrypto().EC_GROUP_free(table)
+
+
+def _uses(pt):
+    return ec._table_uses.get((pt.x, pt.y))
+
+
+def _has_table(pt):
+    return (pt.x, pt.y) in ec._tables
+
+
+def _tabled(monkeypatch, pt):
+    """pt with a table: a break-even of 1, so its first `long_term` product builds one."""
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
+    scalar_mul(P256, 7, pt, long_term=True)
+    assert _has_table(pt)
+    return pt
+
+
+def test_table_products_match_reference(tables, monkeypatch, points):
+    q = _tabled(monkeypatch, points[0])
+    through = []
+    real = ec._p256_mul
+    monkeypatch.setattr(ec, "_p256_mul", lambda k, pt, g=0, table=None:
+                        through.append(table) or real(k, pt, g, table))
+    rng = random.Random(3)
+    scalars = [rng.randrange(1, N) for _ in range(100)] + [1, 2, N - 2, N - 1]
+    for k in scalars:
+        assert scalar_mul(P256, k, q) == ec._scalar_mul_ref(P256, k, q), k
+    assert through == [ec._tables[(q.x, q.y)]] * len(scalars)
+    # the other points are untouched: no count, no table
+    assert scalar_mul(P256, 5, points[1]) == ec._scalar_mul_ref(P256, 5, points[1])
+    assert _uses(points[1]) is None and not _has_table(points[1])
+
+
+def test_generator_never_gets_a_table(tables, monkeypatch):
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
+    for k in (1, 5, N - 1):
+        assert scalar_mul(P256, k, G, long_term=True) == ec._scalar_mul_ref(P256, k, G)
+    assert ec._table_uses == {} and ec._tables == {}
+
+
+def test_off_curve_long_term_point_is_refused_and_never_counted(tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
+    q = _tabled(monkeypatch, points[0])
+    off = Point(q.x, (q.y + 1) % P256.p)  # shares the tabled point's x
+    for _ in range(3):
+        with pytest.raises(ec.CurveError):
+            scalar_mul(P256, 5, off, long_term=True)
+    assert _uses(off) is None and not _has_table(off)
+    assert list(ec._tables) == [(q.x, q.y)]
+
+
+def test_use_at_break_even_builds_the_table(tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 5)
+    q = points[0]
+    scalar_mul(P256, 3, q, long_term=True)  # use 1 starts the count
+    for use in range(2, 5):
+        scalar_mul(P256, 3, q)  # uses without `long_term` count too
+        assert _uses(q) == use and not _has_table(q)
+    assert scalar_mul(P256, 3, q) == ec._scalar_mul_ref(P256, 3, q)  # use 5
+    assert _has_table(q) and _uses(q) is None
+
+
+def test_break_even_is_past_the_attack_matrix_uses_per_key():
+    """The attack matrix multiplies by each world's home-agent key 416 times
+    and then builds a new world, so it must not reach break-even."""
+    assert ec.TABLE_BREAK_EVEN > 416
+
+
+def test_foreign_agent_path_never_creates_a_count(tables):
+    suite, rng = CryptoSuite(P256), random.Random(4)
+    world = build_proposed_world(suite, rng)
+    home_key = world.mu.card.home_dh_pub
+    m1, _ = prop.login_begin(suite, world.mu, rng)
+    assert _uses(home_key) == 1
+    prop.fa_process_login(suite, world.fa, m1, rng)
+    assert _uses(home_key) == 2  # the FA's b*C counts on the card's entry
+    other = ec._scalar_mul_ref(P256, 0x5EED, G)
+    prop.fa_process_login(suite, world.fa, m1.replace(home_dh_pub=other), rng)
+    assert _uses(other) is None and list(ec._table_uses) == [(home_key.x, home_key.y)]
+    result = run_session(suite, "proposed", "foreign-auth", rng, world=world)
+    assert result.outcome["success"]
+    assert _uses(home_key) == 4 and len(ec._table_uses) == 1
+
+
+def test_eviction_frees_the_table_and_a_rebuilt_one_gives_the_same_products(
+        tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_CAP", 2)
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 2)
+    lib, freed = ec._libcrypto(), []
+    proxy = _CountingLib(lib)
+    proxy.EC_GROUP_free = lambda group: freed.append(group) or lib.EC_GROUP_free(group)
+    monkeypatch.setattr(ec, "_libcrypto", lambda: proxy)
+    first, *rest = points[:4]
+    built = []
+    for pt in (first, *rest):
+        scalar_mul(P256, 3, pt, long_term=True)
+        scalar_mul(P256, 3, pt)
+        built.append(ec._tables[(pt.x, pt.y)])
+    assert list(ec._tables) == [(pt.x, pt.y) for pt in rest[1:]]
+    assert freed == built[:2]  # the oldest two, each freed once
+    assert _uses(first) is None  # an evicted point starts its count anew
+    scalar_mul(P256, 3, first)
+    assert _uses(first) is None  # ... and only from a `long_term` product
+    rng = random.Random(5)
+    for k in [rng.randrange(1, N) for _ in range(20)]:
+        assert scalar_mul(P256, k, first, long_term=True) == ec._scalar_mul_ref(P256, k, first)
+    assert _has_table(first) and len(ec._tables) == 2
+    assert proxy.points == set() and proxy.scalars == set()
+
+
+def test_tables_are_capped_least_recently_used_out(tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_CAP", 2)
+    a, _ = (_tabled(monkeypatch, pt) for pt in points[:2])
+    scalar_mul(P256, 3, a)  # a's table is now the most recently used
+    c = _tabled(monkeypatch, points[2])
+    assert list(ec._tables) == [(a.x, a.y), (c.x, c.y)]
+
+
+def test_uses_are_capped_least_recently_used_out(tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_USES_CAP", 3)
+    for pt in points[:3]:
+        scalar_mul(P256, 3, pt, long_term=True)
+    scalar_mul(P256, 3, points[0])  # now the most recently used
+    scalar_mul(P256, 3, points[3], long_term=True)
+    assert list(ec._table_uses) == [(pt.x, pt.y) for pt in (points[2], points[0], points[3])]
+    assert _uses(points[0]) == 2
+
+
+def test_table_products_free_every_object_and_clear_every_scalar(tables, monkeypatch, points):
+    q = _tabled(monkeypatch, points[2])
+    proxy = _CountingLib(ec._libcrypto())
+    monkeypatch.setattr(ec, "_libcrypto", lambda: proxy)
+    assert scalar_mul(P256, 0xC0FFEE, q) == ec._scalar_mul_ref(P256, 0xC0FFEE, q)
+    assert proxy.allocated == 2
+    assert proxy.points == set() and proxy.scalars == set()
+
+
+def test_a_library_without_table_calls_keeps_the_one_point_path(tables, monkeypatch, points):
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
+    monkeypatch.setattr(ec, "_table_calls", lambda lib: False)
+    q = points[0]
+    for k in (3, 4, 5):
+        assert scalar_mul(P256, k, q, long_term=True) == ec._scalar_mul_ref(P256, k, q)
+    assert ec._tables == {} and _uses(q) == 0
+
+
+def test_threads_churning_one_table_slot_get_right_products(tables, monkeypatch, points):
+    """More threads than cores multiply by three points that evict each
+    other's table on every build; the lock keeps a table alive while in use."""
+    monkeypatch.setattr(ec, "TABLE_CAP", 1)
+    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
+    rng = random.Random(6)
+    jobs = [(rng.randrange(1, N), points[i % 3]) for i in range(48)]
+    expected = [ec._p256_mul(k, pt) for k, pt in jobs]
+    results, errors = {}, []
+
+    def work(first):
+        try:
+            for i in range(first, len(jobs), 4):
+                results[i] = scalar_mul(P256, *jobs[i], long_term=True)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert [results[i] for i in range(len(jobs))] == expected
+    assert len(ec._tables) == 1

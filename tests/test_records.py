@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roamauth import attacks, cli
+from roamauth import attacks, cli, wire
 from roamauth.curve import TOY
 from roamauth.harness import CostReport, HarnessError, ScenarioSpec, Transcript, run_session
-from roamauth.suite import CryptoSuite
+from roamauth.record import Record
+from roamauth.suite import CryptoSuite, KeyPair
+from roamauth.wire import Message
 
 SUITE = CryptoSuite(TOY)
 
@@ -297,3 +299,37 @@ def test_records_that_are_not_json_are_refused():
         with pytest.raises(HarnessError, match="not JSON"):
             CostReport.from_json(text)
 
+
+
+# The record base itself: a field may not hide a field or other attribute of a
+# base class.
+
+@pytest.mark.parametrize("base, name, owner", [
+    (Record, "_fields", "Record"),
+    (Record, "_field_defaults", "Record"),
+    (Record, "_values", "Record"),
+    (Record, "replace", "Record"),
+    (Record, "_asdict", "Record"),
+    (Record, "__init__", "object"),
+    (KeyPair, "_fields", "KeyPair"),
+    (KeyPair, "priv", "KeyPair"),
+])
+def test_a_field_named_like_a_base_attribute_is_refused(base, name, owner):
+    for frozen in (False, True):
+        with pytest.raises(TypeError, match=f"field {name!r} would hide {owner}.{name}"):
+            type("Probe", (base,), {"__annotations__": {"a": int, name: int}}, frozen=frozen)
+
+
+@pytest.mark.parametrize("name", ["KIND", "_kinds", "_bits", "_prefix", "replace"])
+def test_a_message_field_named_like_a_message_attribute_is_refused(name):
+    kind_id = 250
+    with pytest.raises(TypeError, match=f"field {name!r} would hide"):
+        type("ProbeMessage", (Message,), {"__annotations__": {"a": bytes, name: bytes},
+                                          "a": "hash", name: "hash"},
+             kind_id=kind_id, kind="probe")
+    assert kind_id not in wire._BY_ID  # nothing registered
+
+
+def test_a_record_with_ordinary_field_names_still_builds():
+    probe = type("Probe", (Record,), {"__annotations__": {"fields": int, "kind": int}})
+    assert probe(1, 2)._asdict() == {"fields": 1, "kind": 2}
