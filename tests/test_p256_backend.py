@@ -18,6 +18,7 @@ from pathlib import Path
 import _hashlib
 import pytest
 
+from roamauth import attacks
 from roamauth import curve as ec
 from roamauth import proposed as prop
 from roamauth.curve import INFINITY, P256, TOY, Point, scalar_mul
@@ -449,10 +450,12 @@ def test_use_at_break_even_builds_the_table(tables, monkeypatch, points):
     assert _has_table(q) and _uses(q) is None
 
 
-def test_break_even_is_past_the_attack_matrix_uses_per_key():
-    """The attack matrix multiplies by each world's home-agent key 416 times
-    and then builds a new world, so it must not reach break-even."""
-    assert ec.TABLE_BREAK_EVEN > 416
+def test_an_attack_matrix_stays_below_break_even(tables):
+    """A full attack matrix builds its own worlds, and its use of each
+    home-agent key stops short of break-even: it builds no table."""
+    attacks.run_attack_matrix(CryptoSuite(P256), random.Random(7))
+    assert ec._tables == {} and ec._table_uses
+    assert max(ec._table_uses.values()) < ec.TABLE_BREAK_EVEN
 
 
 def test_foreign_agent_path_never_creates_a_count(tables):
