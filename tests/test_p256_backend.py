@@ -429,8 +429,7 @@ def test_generator_never_gets_a_table(tables, monkeypatch):
 
 
 def test_off_curve_long_term_point_is_refused_and_never_counted(tables, monkeypatch, points):
-    monkeypatch.setattr(ec, "TABLE_BREAK_EVEN", 1)
-    q = _tabled(monkeypatch, points[0])
+    q = _tabled(monkeypatch, points[0])  # the break-even is now 1
     off = Point(q.x, (q.y + 1) % P256.p)  # shares the tabled point's x
     for _ in range(3):
         with pytest.raises(ec.CurveError):
