@@ -19,12 +19,13 @@ Which arithmetic serves which profile:
   same binding.  No other module reaches OpenSSL for P-256 arithmetic;
   `suite`'s AES-GCM uses the same binding (`_libcrypto`), without the group.
 * P-256, long-term points: a point that a caller marks `long_term` (the
-  home agent's key C on the user's card) has its uses counted, by every
-  k*Q on it, the foreign agent's included.  Its use that reaches
-  `TABLE_BREAK_EVEN` builds a copy of the group with C as generator and
-  OpenSSL's precomputed multiples of it (`_p256_table`), and from then on
-  k*C is the same constant-time comb as k*G.  A point that only arrives in
-  messages is never counted, and at most `TABLE_CAP` tables are held.
+  suite marks every precomputable product so, and the one such point that
+  is not G is the home agent's key C on the user's card) has its uses
+  counted, by every k*Q on it, the foreign agent's included.  Its use that
+  reaches `TABLE_BREAK_EVEN` builds a copy of the group with C as generator
+  and OpenSSL's precomputed multiples of it (`_p256_table`), and from then
+  on k*C is the same constant-time comb as k*G.  A point that only arrives
+  in messages is never counted, and at most `TABLE_CAP` tables are held.
 
 Every other multiplication (k == n, the identity) is `_scalar_mul_ref`, the
 pure-Python reference the fast paths are tested against; on the toy curve
@@ -178,12 +179,12 @@ def scalar_mul(cp: CurveParams, k: int, pt: Point, *, long_term: bool = False) -
 
     On P-256, k in [1, n-1] times a finite point runs in OpenSSL, through
     pt's fixed-base table if it has one.  `long_term` says that the caller
-    holds pt from its own records, not from a message, and starts counting
-    pt's uses toward a table (see `_count_use`); every k*pt on a counted
-    point counts.  On the toy curve, the same inputs are read from the group
-    table.  Every other call runs `_scalar_mul_ref`.  All paths give the
-    same point for every element and raise `CurveError` for a point off the
-    curve."""
+    holds pt from its own records, not from a message (the suite's
+    `precomputable` tag), and starts counting pt's uses toward a table
+    unless pt is G (see `_count_use`); every k*pt on a counted point counts.
+    On the toy curve, the same inputs are read from the group table.  Every
+    other call runs `_scalar_mul_ref`.  All paths give the same point for
+    every element and raise `CurveError` for a point off the curve."""
     if cp is P256 and isinstance(k, int) and 1 <= k < cp.n and not pt.is_infinity:
         key = (pt.x, pt.y)
         with _table_lock:

@@ -215,13 +215,13 @@ class CryptoSuite:
 
     # -- group operations ----------------------------------------------------
 
-    def scalar_mul(self, k: int, pt: Point, *, precomputable: bool = False,
-                   long_term: bool = False) -> Point:
+    def scalar_mul(self, k: int, pt: Point, *, precomputable: bool = False) -> Point:
         """Point scalar multiplication, tagged precomputable when it does not
-        depend on any received message.  `long_term` marks pt as a long-term
-        key the caller holds from its own records (see `curve.scalar_mul`)."""
+        depend on any received message.  Such a pt is G or a key the caller
+        holds from its own records, so the tag is also `curve.scalar_mul`'s
+        `long_term`: a table may pay for it, and G never gets one."""
         instrument.record("mul", pre=precomputable)
-        return ec.scalar_mul(self.cp, k, pt, long_term=long_term)
+        return ec.scalar_mul(self.cp, k, pt, long_term=precomputable)
 
     def validate_point(self, pt: Point) -> Point:
         return ec.validate_point(self.cp, pt)
@@ -274,17 +274,19 @@ class CryptoSuite:
 
     def _sign_digest(self, priv: int, digest: bytes) -> Signature:
         """s = b * (k*b)^-1 * (z + r*d) mod n, which equals k^-1 * (z + r*d):
-        the inverse is taken of k*b, whose length does not follow k's."""
+        the inverse is taken of k*b, whose length does not follow k's, and
+        k*b is taken as (k + n)*b, whose first factor has n's bit length or
+        one more, whatever k's is."""
         cp = self.cp
         z = _bits2int(digest, cp.n)
         while True:
             k = _rfc6979_nonce(cp, priv, digest)
             r = ec.scalar_mul(cp, k, cp.generator).x % cp.n
             b = _BLINDING.randrange(1, cp.n)
-            s = b * pow(k * b % cp.n, -1, cp.n) * (z + r * priv) % cp.n
+            s = b * pow((k + cp.n) * b % cp.n, -1, cp.n) * (z + r * priv) % cp.n
             if r and s:
                 return Signature(r, s)
-            digest = _sha256(digest)[:DIGEST_BYTES]  # pragma: no cover
+            digest = _sha256(digest)[:DIGEST_BYTES]
 
     def _verify_digest(self, pub: Point, digest: bytes, sig: Signature) -> bool:
         """Textbook check: x(u1*G + u2*pub) mod n == r, for r and s in

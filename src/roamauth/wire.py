@@ -89,15 +89,6 @@ def deserialize(cp: CurveParams, data: bytes) -> Message:
     return cls(*unpack(cp, data[1:], cls._kinds, cls.KIND))
 
 
-def payloads(cls: type[Message], data: bytes) -> list[bytes]:
-    """The field payloads of a `cls` frame, checking only its kind id and field
-    count.  Decoding is canonical: equal payloads are equal fields."""
-    raw = decode_concat(data[1:]) if data[:1] == cls._prefix else None
-    if raw is None or len(raw) != len(cls._kinds):
-        raise EncodingError(f"not a {cls.KIND} frame of {len(cls._kinds)} fields")
-    return [payload for _tag, payload in raw]
-
-
 def unpack(cp: CurveParams, data: bytes, kinds: tuple[str, ...], what: str) -> list:
     """Decode the field list `data` as exactly `kinds`: "point" is a finite
     on-curve point, "sig" is `2 * cp.scalar_bytes` bytes, other kinds are

@@ -22,7 +22,7 @@ from roamauth import attacks
 from roamauth import curve as ec
 from roamauth import proposed as prop
 from roamauth.curve import INFINITY, P256, TOY, Point, scalar_mul
-from roamauth.harness import build_mun_world, build_proposed_world, run_session
+from roamauth.harness import SCENARIOS, build_mun_world, build_proposed_world, run_session
 from roamauth.suite import CryptoSuite, Signature
 
 N = P256.n
@@ -471,6 +471,33 @@ def test_foreign_agent_path_never_creates_a_count(tables):
     result = run_session(suite, "proposed", "foreign-auth", rng, world=world)
     assert result.outcome["success"]
     assert _uses(home_key) == 4 and len(ec._table_uses) == 1
+
+
+def test_only_the_cards_key_is_marked_long_term_and_counted(tables, monkeypatch):
+    """Every scenario of both schemes on P-256: among products on a point other
+    than G, `long_term` is set exactly on the user's a*C in `login_begin`, and
+    the card's C is the only point counted."""
+    suite, rng = CryptoSuite(P256), random.Random(6)
+    worlds = {"proposed": build_proposed_world(suite, rng), "mun": build_mun_world(suite, rng)}
+    home_key = worlds["proposed"].mu.card.home_dh_pub
+    calls, real = [], ec.scalar_mul
+
+    def spy(cp, k, pt, *, long_term=False):
+        caller = sys._getframe(2).f_code.co_name  # past `CryptoSuite.scalar_mul`
+        calls.append((pt, long_term, caller == "login_begin" and pt == home_key))
+        return real(cp, k, pt, long_term=long_term)
+
+    monkeypatch.setattr(ec, "scalar_mul", spy)
+    for scheme, world in worlds.items():
+        for scenario in SCENARIOS:
+            if scheme == "mun" and scenario in ("home-auth", "password-change"):
+                continue
+            result = run_session(suite, scheme, scenario, rng, world=world)
+            assert result.outcome["success"], (scheme, scenario)
+    others = [(long_term, card) for pt, long_term, card in calls if pt != G]
+    assert all(long_term == card for long_term, card in others)
+    assert sum(card for _, card in others) == 4  # foreign-, home-auth, key-update, password-change
+    assert list(ec._table_uses) == [(home_key.x, home_key.y)] and ec._tables == {}
 
 
 def test_eviction_frees_the_table_and_a_rebuilt_one_gives_the_same_products(

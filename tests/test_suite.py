@@ -302,6 +302,27 @@ def test_blinded_inverse_gives_the_plain_signature(cp, monkeypatch):
     assert len(drawn) == 40
 
 
+def test_a_zero_r_or_s_retries_with_the_nonce_of_the_rehashed_digest(toy_suite, monkeypatch):
+    # The toy group is small enough that seeded signatures draw r or s = 0:
+    # the retry takes the next nonce from the digest hashed again, and the
+    # signature still verifies under the first digest.
+    seen = []
+    real = suite_mod._rfc6979_nonce
+    monkeypatch.setattr(suite_mod, "_rfc6979_nonce",
+                        lambda cp, priv, digest: seen.append(digest) or real(cp, priv, digest))
+    r = random.Random(15)
+    retried = 0
+    for _ in range(2000):
+        signer, digest = toy_suite.keygen(r), r.randbytes(20)
+        seen.clear()
+        sig = toy_suite._sign_digest(signer.priv, digest)
+        assert toy_suite._verify_digest(signer.pub, digest, sig)
+        assert seen[0] == digest
+        assert seen[1:] == [hashlib.sha256(d).digest()[:20] for d in seen[:-1]]
+        retried += len(seen) > 1
+    assert retried
+
+
 def _genuine_certificate(suite, rng):
     ca = suite.keygen(rng)
     cert = suite.issue_certificate(ca, identity_from_label("fa"), suite.keygen(rng).pub)
